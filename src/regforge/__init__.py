@@ -59,12 +59,9 @@ from .errors import (
 from .sim import (
     ProgramScript,
     Simulation,
-    backdoor_read,
     build_sim,
     check_coherence,
     parse_script,
-    run,
-    swap_module,
     trace_to_csv,
 )
 from .spec import (

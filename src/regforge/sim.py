@@ -19,12 +19,26 @@ regardless of ready) and models the resulting hazard: a write landing
 while the slave is busy is visible as a half-updated word for one
 configuration period.  This exists to prove the coherence checker can
 detect the hazard the handshake prevents.
+
+Time advances from event to event rather than edge by edge.  When no
+write is held, no slave is busy, and every distributed slave's sync
+chain is all-zero with ready high, an edge changes nothing but the
+configuration-cycle count: the master has nothing to issue, no slave
+samples, and each chain shifts a zero into zeros, so ready stays high.
+That holds until the next scripted write falls due, a busy window
+starts, a swap is applied, or the run ends, so the simulator jumps
+every domain straight to its first edge at or after the earliest of
+those times and adds the skipped configuration edges to ``cycle``.  On
+the edges it does step, only busy slaves sample and only busy or
+unsettled slaves shift their chains, in slave-index order.  The trace
+and final state are the same as stepping every edge.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .bus import DEFAULT_TIMEOUT_CYCLES
@@ -194,13 +208,22 @@ class Simulation:
         self.distributed = model.topology == "distributed"
         self.sync_length = model.sync_length
 
+        for d in spec.clock_domains:
+            if d.period_ps <= 0:
+                raise SimError(f"clock domain {d.name!r} has non-positive period {d.period_ps}")
+        domain_index = {d.name: i for i, d in enumerate(spec.clock_domains)}
+        for s in spec.slaves:
+            if s.clock_domain not in domain_index:
+                raise SimError(
+                    f"slave {s.name!r} names unknown clock domain {s.clock_domain!r}"
+                )
+
         self.domains = [(d.name, d.period_ps) for d in spec.clock_domains]
         self._periods = [d.period_ps for d in spec.clock_domains]
         self._next_edge = [d.period_ps for d in spec.clock_domains]
         self.time_ps = 0
         self.cycle = 0  # index of the next configuration-clock edge
 
-        domain_index = {d.name: i for i, d in enumerate(spec.clock_domains)}
         self.slave_names = [s.name for s in spec.slaves]
         self._slave_idx = {s.name: i for i, s in enumerate(spec.slaves)}
         self._base = [s.base_addr for s in spec.slaves]
@@ -213,6 +236,8 @@ class Simulation:
         self._mem = [dict(r) for r in self._resets]
         self._ready = [False] * len(spec.slaves)
         self._busy_sync = [[0] * self.sync_length for _ in spec.slaves]
+        # distributed slaves whose chain holds a 1 or whose ready is low
+        self._unsettled = set(range(len(spec.slaves))) if self.distributed else set()
         self._rotation = [0] * len(spec.slaves)
 
         self._decode = {}
@@ -242,8 +267,11 @@ class Simulation:
         self.timed_out = False
 
         # script bindings (set by run)
-        self._windows: list[list[tuple[int, int]]] = [[] for _ in spec.slaves]
-        self._win_ptr = [0] * len(spec.slaves)
+        self._windows: list[tuple[int, int, int]] = []  # (start, end, slave), start-sorted
+        self._win_pos = 0  # windows before this one have started
+        self._busy_end: dict[int, int] = {}  # busy slave -> end of its window
+        self._busy_in: list[list[int]] = [[] for _ in self.domains]  # per domain, ascending
+        self._busy_change: float = math.inf  # next window start or end
         self._swaps: list[SwapRequest] = []
         self._swap_pos = 0
 
@@ -256,14 +284,6 @@ class Simulation:
 
     def _emit(self, time_ps, kind, slave="", addr=None, data=None, detail=""):
         self.trace.append(TraceEvent(time_ps, kind, slave, addr, data, detail))
-
-    def _busy_raw(self, sidx: int, t: int) -> bool:
-        windows = self._windows[sidx]
-        ptr = self._win_ptr[sidx]
-        while ptr < len(windows) and windows[ptr][1] <= t:
-            ptr += 1
-        self._win_ptr[sidx] = ptr
-        return ptr < len(windows) and windows[ptr][0] <= t
 
     def _bind_script(self, script: ProgramScript) -> None:
         for w in script.busy_windows:
@@ -280,8 +300,8 @@ class Simulation:
         for w in script.busy_windows:
             if w.end_ps > w.start_ps:
                 per_slave[self._slave_idx[w.slave]].append((w.start_ps, w.end_ps))
-        merged = []
-        for windows in per_slave:
+        merged: list[tuple[int, int, int]] = []
+        for sidx, windows in enumerate(per_slave):
             windows.sort()
             out: list[tuple[int, int]] = []
             for start, end in windows:
@@ -289,12 +309,55 @@ class Simulation:
                     out[-1] = (out[-1][0], max(out[-1][1], end))
                 else:
                     out.append((start, end))
-            merged.append(out)
+            merged += [(start, end, sidx) for start, end in out]
+        merged.sort()
         self._windows = merged
-        self._win_ptr = [0] * len(self.slave_names)
+        self._win_pos = 0
+        self._busy_end = {}
+        self._busy_in = [[] for _ in self.domains]
+        self._busy_change = merged[0][0] if merged else math.inf
 
         self._swaps = sorted(script.swaps, key=lambda s: s.at_ps)
         self._swap_pos = 0
+
+    def _update_busy(self, t: int) -> None:
+        """Bring the busy sets up to time ``t`` (called when a window starts or ends)."""
+        windows, pos, busy_end = self._windows, self._win_pos, self._busy_end
+        while pos < len(windows) and windows[pos][0] <= t:
+            _start, end, sidx = windows[pos]
+            busy_end[sidx] = end  # a slave's earlier window has ended by now
+            pos += 1
+        self._win_pos = pos
+        for sidx in [s for s, end in busy_end.items() if end <= t]:
+            del busy_end[sidx]
+        busy_in: list[list[int]] = [[] for _ in self.domains]
+        for sidx in sorted(busy_end):
+            busy_in[self._domain_of[sidx]].append(sidx)
+        self._busy_in = busy_in
+        next_start = windows[pos][0] if pos < len(windows) else math.inf
+        self._busy_change = min([next_start, *busy_end.values()])
+
+    def _wake_time(self, until_ps: int) -> int:
+        """Earliest time a quiescent design can next change: a write falling
+        due, a busy window starting, a swap, or the end of the run."""
+        wake = min(self._busy_change, until_ps + 1)
+        if self._queue_pos < len(self._queue):
+            due = self._queue[self._queue_pos].at_cycle
+            wake = min(wake, self._next_edge[0] + max(due - self.cycle, 0) * self._periods[0])
+        if self._swap_pos < len(self._swaps):
+            wake = min(wake, self._swaps[self._swap_pos].at_ps)
+        return wake
+
+    def _skip_before(self, wake: int) -> None:
+        """Pass over every edge earlier than ``wake`` without stepping it."""
+        next_edge = self._next_edge
+        for d, period in enumerate(self._periods):
+            if next_edge[d] < wake:
+                skipped = (wake - next_edge[d] - 1) // period + 1
+                next_edge[d] += skipped * period
+                self.time_ps = max(self.time_ps, next_edge[d] - period)
+                if d == 0:
+                    self.cycle += skipped
 
     # -- clock edges ------------------------------------------------------
 
@@ -335,7 +398,7 @@ class Simulation:
                     self._emit(t, WRITE_ACCEPTED, name, addr, data)
                     self._emit(t, CONFIG_CHANGED, name, addr, value)
                     commits.append((sidx, offset, value))
-                    if self.fault_mode and self.distributed and self._busy_raw(sidx, t):
+                    if self.fault_mode and self.distributed and sidx in self._busy_end:
                         old = self._mem[sidx][offset]
                         half = width // 2
                         low_mask = (1 << half) - 1
@@ -353,12 +416,10 @@ class Simulation:
                     self._held = 0
 
     def _sample_edge(self, domain: int, t: int) -> None:
-        for sidx in range(len(self.slave_names)):
-            if self._domain_of[sidx] != domain or not self._offsets[sidx]:
-                continue
-            if not self._busy_raw(sidx, t):
-                continue
+        for sidx in self._busy_in[domain]:
             offsets = self._offsets[sidx]
+            if not offsets:
+                continue
             offset = offsets[self._rotation[sidx] % len(offsets)]
             self._rotation[sidx] += 1
             value = self._visible(sidx, offset, t)
@@ -377,18 +438,23 @@ class Simulation:
             self._mem[sidx][offset] = value
             if not self.distributed:
                 self._words[self._word_of[self._base[sidx] + offset]] = value
-        if self.distributed:
-            for sidx in range(len(self.slave_names)):
+        # a settled slave that is not busy shifts a zero into an all-zero
+        # chain and keeps ready high, so only the others are visited
+        unsettled, busy_end = self._unsettled, self._busy_end
+        if unsettled or (self.distributed and busy_end):
+            for sidx in sorted(unsettled.union(busy_end)):
                 chain = self._busy_sync[sidx]
-                synced = chain[-1]
-                raw = 1 if self._busy_raw(sidx, t) else 0
-                chain.pop()
-                chain.insert(0, raw)
+                synced = chain.pop()
+                chain.insert(0, 1 if sidx in busy_end else 0)
                 new_ready = not synced
                 if new_ready != self._ready[sidx]:
                     self._ready[sidx] = new_ready
                     self._emit(t, READY_CHANGED, self.slave_names[sidx],
                                data=int(new_ready))
+                if new_ready and not any(chain):
+                    unsettled.discard(sidx)
+                else:
+                    unsettled.add(sidx)
         self.cycle += 1
 
     def _apply_swaps_until(self, t: int) -> None:
@@ -409,6 +475,14 @@ class Simulation:
             t = min(next_edge)
             if t > until_ps:
                 break
+            if t >= self._busy_change:
+                self._update_busy(t)
+            if self._current is None and not self._unsettled and not self._busy_end:
+                # settled: every edge before the wake time is a no-op
+                wake = self._wake_time(until_ps)
+                if wake > t:
+                    self._skip_before(wake)
+                    continue
             self._apply_swaps_until(t)
             edging = [d for d in range(ndom) if next_edge[d] == t]
             commits: list = []
@@ -548,18 +622,6 @@ def build_sim(
 ) -> Simulation:
     """Construct a reset simulation for an elaborated model."""
     return Simulation(model, spec, fault_mode=fault_mode, timeout_cycles=timeout_cycles)
-
-
-def run(sim: Simulation, script: ProgramScript, until_ps: int) -> Simulation:
-    return sim.run(script, until_ps)
-
-
-def backdoor_read(sim: Simulation, slave: str, offset: int) -> int:
-    return sim.backdoor_read(slave, offset)
-
-
-def swap_module(sim: Simulation, slave: str, registers: tuple[SettingSpec, ...]) -> Simulation:
-    return sim.swap_module(slave, registers)
 
 
 def trace_to_csv(trace: list[TraceEvent]) -> str:

@@ -17,12 +17,14 @@ from regforge.sim import (
     BusyWindow,
     ProgramScript,
     ScriptWrite,
+    Simulation,
     SwapRequest,
+    TraceEvent,
     trace_to_csv,
 )
 from regforge.spec import SettingSpec, address_map
 
-from conftest import make_spec
+from conftest import make_spec, make_spec_doc
 
 CFG = 10_000  # canonical configuration-clock period in the fixtures
 
@@ -115,6 +117,21 @@ def test_rebuild_same_inputs_same_state_hash():
     assert _sim(spec).state_hash() == _sim(spec).state_hash()
 
 
+@pytest.mark.parametrize(
+    "break_doc, message",
+    [
+        (lambda doc: doc["slaves"][0].update(clock_domain="nowhere"), "unknown clock domain"),
+        (lambda doc: doc["clock_domains"][1].update(period_ps=0), "non-positive"),
+    ],
+)
+def test_build_sim_on_unvalidated_spec_raises_sim_error(break_doc, message):
+    doc = make_spec_doc()
+    break_doc(doc)
+    spec = parse_spec(json.dumps(doc))
+    with pytest.raises(SimError, match=message):
+        _sim(spec)
+
+
 def test_unknown_slave_or_offset_raises():
     sim = _sim(make_spec())
     with pytest.raises(SimError):
@@ -158,21 +175,37 @@ def test_accepted_order_equals_issue_order(distributed_spec, rng):
 
 def test_empty_script_only_clocks(distributed_spec):
     sim = _sim(distributed_spec)
-    before = {
-        s.name: sim.slave_state_hash(s.name) for s in distributed_spec.slaves
-    }
     sim.run(ProgramScript(), 50 * CFG)
-    mems_unchanged = all(
-        sim.slave_state_hash(s.name) == before[s.name]
-        for s in distributed_spec.slaves
-    )
-    # ready registers flip once out of reset, so hashes legitimately move;
-    # memory contents must not
-    assert not mems_unchanged or mems_unchanged
+    # ready leaves reset at the first configuration edge; nothing else happens
+    assert sim.trace == [
+        TraceEvent(CFG, "ready_changed", s.name, data=1) for s in distributed_spec.slaves
+    ]
+    assert sim.cycle == 50
     for s in distributed_spec.slaves:
         for r in s.registers:
             assert sim.backdoor_read(s.name, r.offset) == r.reset_value
     assert sim.time_ps == 50 * CFG
+
+
+def test_idle_cost_scales_with_events_not_cycles(distributed_spec, monkeypatch):
+    stepped = 0
+    config_edge = Simulation._config_edge
+
+    def counting_config_edge(self, t, commits):
+        nonlocal stepped
+        stepped += 1
+        config_edge(self, t, commits)
+
+    monkeypatch.setattr(Simulation, "_config_edge", counting_config_edge)
+    script = ProgramScript(
+        writes=(ScriptWrite(10, 0, 1), ScriptWrite(400_000, 5, 2), ScriptWrite(999_000, 3, 3)),
+        busy_windows=(BusyWindow("slave1", 500_000 * CFG, 500_020 * CFG),),
+    )
+    sim = _sim(distributed_spec).run(script, 1_000_000 * CFG)
+    assert sim.cycle == 1_000_000
+    assert sum(e.kind == "write_accepted" for e in sim.trace) == 3
+    assert sum(e.kind == "value_sampled" for e in sim.trace) == 29  # 20 cycles at 7,000 ps
+    assert stepped < 100
 
 
 def test_determinism_same_script_same_trace_hash(distributed_spec, rng):
