@@ -37,6 +37,10 @@ _POINT_FIELDS = {
     "dest_registers": bool,
 }
 
+# Lowest value of each numeric point field: the bounds spec.validate applies
+# to memory dimensions, setting widths and synchronizer lengths.
+_POINT_MIN = {"D": 0, "W": 0, "N_t": 0, "S": 0, "w": 1, "L": 1}
+
 _POINT_RENAME = {
     "D": "depth",
     "W": "width",
@@ -45,6 +49,12 @@ _POINT_RENAME = {
     "L": "sync_length",
     "S": "slaves",
 }
+
+
+def _check_point_value(key: str, value: int) -> int:
+    if value < _POINT_MIN[key]:
+        raise SpecError(f"point field {key} must be >= {_POINT_MIN[key]}, got {value}")
+    return value
 
 
 def parse_point(text: str) -> cost.DesignPoint:
@@ -63,7 +73,7 @@ def parse_point(text: str) -> cost.DesignPoint:
             raise SpecError(f"unknown point field {key!r}")
         kind = _POINT_FIELDS[key]
         if kind is int:
-            raw[key] = int(value, 0)
+            raw[key] = _check_point_value(key, int(value, 0))
         elif kind is bool:
             raw[key] = value.strip().lower() in ("1", "true", "yes", "on")
         else:
@@ -98,6 +108,8 @@ def parse_sweep_range(text: str) -> tuple[str, list[int]]:
         values = [int(p, 0) for p in spec_text.split(";") if p.strip()]
     if not values:
         raise SpecError(f"sweep range {text!r} is empty")
+    for value in values:
+        _check_point_value(key, value)
     return key, values
 
 

@@ -7,8 +7,9 @@ least-squares fits per architecture family, because packing density
 differs between a bare deep memory, a memory fanned out through routing
 register stages, and distributed per-slave banks.  The speed heuristic
 is a monotone-decreasing function of the widest routed bundle that is
-not broken by a register stage at both ends; it is an ordering model
-anchored at measured points, not a timing analyzer.
+not broken by a register stage at both ends, also in closed form and
+exact against the elaborated design; it is an ordering model anchored at
+measured points, not a timing analyzer.
 
 The shipped default calibration was fitted against Cyclone V synthesis
 measurements of reference designs (a 256x32 central memory feeding 226
@@ -25,14 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elaborate import (
-    TOPOLOGY_FLAGS,
-    DesignModel,
-    ElaborationOptions,
-    elaborate_distributed,
-    elaborate_global,
-    structural_counts,
-)
+from .elaborate import TOPOLOGY_FLAGS, check_capacity
 from .errors import CalibrationError, UncalibratedError
 from .spec import (
     TOPOLOGIES,
@@ -131,16 +125,20 @@ def _ceil_log2(n: int) -> int:
     return max(1, (max(n, 1) - 1).bit_length())
 
 
+def _select_bits(slaves: int) -> int:
+    return (slaves - 1).bit_length() if slaves > 1 else 0
+
+
 def point_to_spec(point: DesignPoint) -> RegisterMapSpec:
     """Materialize a design point as a register-map spec.
 
     Uses a canonical two-domain clocking scheme and packed slave bases;
-    the resulting spec is what :func:`estimate_registers` is exact
-    against.
+    the resulting spec is what :func:`estimate_registers` and
+    :func:`widest_unregistered_bundle` are exact against.
     """
     width = max(point.target_width, 1)
     offset_bits = _ceil_log2(point.targets)
-    select_bits = (point.slaves - 1).bit_length() if point.slaves > 1 else 0
+    select_bits = _select_bits(point.slaves)
     registers = tuple(
         SettingSpec(name=f"r{i}", offset=i, width=width) for i in range(point.targets)
     )
@@ -170,20 +168,6 @@ def point_to_spec(point: DesignPoint) -> RegisterMapSpec:
             sync_length=point.sync_length,
             global_depth=point.depth,
             global_width=point.width,
-        ),
-    )
-
-
-def elaborate_point(point: DesignPoint) -> DesignModel:
-    spec = point_to_spec(point)
-    if point.topology == "distributed":
-        return elaborate_distributed(spec)
-    return elaborate_global(
-        spec,
-        ElaborationOptions(
-            output_registered=point.output_registered,
-            cdc=point.cdc,
-            dest_registers=point.dest_registers,
         ),
     )
 
@@ -302,7 +286,47 @@ def estimate_alms(point: DesignPoint, cal: Calibration) -> float:
 
 
 def widest_unregistered_bundle(point: DesignPoint) -> int:
-    return structural_counts(elaborate_point(point)).max_unregistered_bundle_bits
+    """Widest bundle of the point's elaborated design that is not
+    registered at both ends, in closed form.
+
+    With ``w' = max(w, 1)`` (settings are at least one bit wide, as in
+    :func:`point_to_spec`):
+
+    * distributed: 0 when ``S*N_t == 0``, else the shared bus bundle
+      ``sel + ceil_log2(N_t) + w' + 1 + S`` (address, data, write and
+      one-hot select), where ``sel = bit_length(S - 1)`` for ``S > 1``
+      and 0 otherwise, and ``ceil_log2`` is at least 1;
+    * centralized: raises :class:`CapacityError` exactly where
+      :func:`elaborate_global` does, then takes the larger of the memory
+      word ``W`` (the bus-to-memory bundle, present when ``D*W > 0``) and
+      the per-slave fan-out ``N_t*w'`` (present when ``S*N_t > 0``).  The
+      fan-out does not count when it runs from a memory flip-flop stage
+      straight into destination registers, i.e. with destination
+      registers, no CDC chain and ``D*W > 0``.  The ``mem -> mem_out``
+      pipe is registered at both ends and never counts.
+
+    This equals ``structural_counts(...).max_unregistered_bundle_bits`` of
+    the design :func:`point_to_spec` builds, elaborated with the point's
+    own stage flags; the tests hold the two against each other.
+    """
+    width = max(point.target_width, 1)
+    words = point.slaves * point.targets
+    if _is_distributed(point):
+        if words == 0:
+            return 0
+        return (
+            _select_bits(point.slaves) + _ceil_log2(point.targets) + width + 1
+            + point.slaves
+        )
+    memory_bits = point.depth * point.width
+    check_capacity(
+        point.depth, point.width, words * width, words, width if words > 0 else 0
+    )
+    widest = point.width if memory_bits > 0 else 0
+    fanout_registered = point.dest_registers and not point.cdc and memory_bits > 0
+    if words > 0 and not fanout_registered:
+        widest = max(widest, point.targets * width)
+    return widest
 
 
 def estimate_fmax(point: DesignPoint, cal: Calibration) -> float:

@@ -151,29 +151,42 @@ class _Builder:
         return element.name
 
 
-def elaborate_global(spec: RegisterMapSpec, options: ElaborationOptions) -> DesignModel:
-    """Build the centralized-memory model for the given register stages.
-
-    Raises :class:`CapacityError` when the settings do not fit the memory:
-    each setting occupies one memory word, so the word count must not
-    exceed the depth and no setting may be wider than the memory word.
+def check_capacity(depth: int, width: int, total_bits: int, total_words: int,
+                   widest: int) -> None:
+    """Raise :class:`CapacityError` unless the settings fit a depth x width
+    memory: each setting occupies one memory word, so the total bits must
+    fit, the word count must not exceed the depth and no setting
+    (``widest`` bits; 0 when there are none) may be wider than the word.
     """
-    arch = spec.architecture
-    depth, width = arch.global_depth, arch.global_width
-    total_bits = spec.total_setting_bits
     if total_bits > depth * width:
         raise CapacityError(
             f"settings need {total_bits} bits but memory is {depth}x{width}"
         )
-    if spec.total_words > depth:
+    if total_words > depth:
         raise CapacityError(
-            f"settings occupy {spec.total_words} words but memory depth is {depth}"
+            f"settings occupy {total_words} words but memory depth is {depth}"
         )
-    widest = max((r.width for s in spec.slaves for r in s.registers), default=0)
     if widest > width:
         raise CapacityError(
             f"setting width {widest} exceeds memory word width {width}"
         )
+
+
+def elaborate_global(spec: RegisterMapSpec, options: ElaborationOptions) -> DesignModel:
+    """Build the centralized-memory model for the given register stages.
+
+    Raises :class:`CapacityError` when the settings do not fit the memory
+    (see :func:`check_capacity`).
+    """
+    arch = spec.architecture
+    depth, width = arch.global_depth, arch.global_width
+    check_capacity(
+        depth,
+        width,
+        spec.total_setting_bits,
+        spec.total_words,
+        max((r.width for s in spec.slaves for r in s.registers), default=0),
+    )
 
     cfg_domain = spec.clock_domains[0].name if spec.clock_domains else "cfg"
     b = _Builder()

@@ -19,7 +19,7 @@ import re
 from .elaborate import DesignModel, global_word_map
 from .errors import EmitError
 from .sim import ProgramScript, Simulation
-from .spec import GLOBAL_TOPOLOGIES, RegisterMapSpec, SlaveSpec
+from .spec import GLOBAL_TOPOLOGIES, RegisterMapSpec, SettingSpec, SlaveSpec
 
 _INDENT = "    "
 
@@ -47,21 +47,29 @@ def _range(width: int) -> str:
 
 
 def _header(spec: RegisterMapSpec, model: DesignModel) -> str:
+    """File banner; hashes the whole model, so build it once per emission."""
     return (
         f"// {spec.name} | topology {model.topology} | model {model.content_hash()[:12]}\n"
         "// generated by regforge; do not edit\n"
     )
 
 
-def _reg_idents(slave: SlaveSpec) -> dict[str, str]:
-    return sanitize_names([r.name for r in sorted(slave.registers, key=lambda r: r.offset)])
+# Per slave: its settings in offset order and their sanitized identifiers.
+_SlaveRegs = dict[str, tuple[list[SettingSpec], dict[str, str]]]
 
 
-def _distributed_slave(spec: RegisterMapSpec, model: DesignModel, slave: SlaveSpec,
-                       module_name: str) -> str:
+def _slave_regs(spec: RegisterMapSpec) -> _SlaveRegs:
+    out: _SlaveRegs = {}
+    for slave in spec.slaves:
+        regs = sorted(slave.registers, key=lambda r: r.offset)
+        out[slave.name] = (regs, sanitize_names([r.name for r in regs]))
+    return out
+
+
+def _distributed_slave(spec: RegisterMapSpec, header: str, slave: SlaveSpec,
+                       module_name: str, regs: list[SettingSpec],
+                       idents: dict[str, str]) -> str:
     bus = spec.bus
-    regs = sorted(slave.registers, key=lambda r: r.offset)
-    idents = _reg_idents(slave)
     sync_len = spec.architecture.sync_length
 
     ports = [
@@ -76,7 +84,7 @@ def _distributed_slave(spec: RegisterMapSpec, model: DesignModel, slave: SlaveSp
     ]
     ports += [f"output logic {_range(r.width)}cfg_{idents[r.name]}" for r in regs]
 
-    lines = [_header(spec, model)]
+    lines = [header]
     lines.append(f"module {module_name} (")
     lines.append(",\n".join(_INDENT + p for p in ports))
     lines.append(");")
@@ -126,10 +134,9 @@ def _distributed_slave(spec: RegisterMapSpec, model: DesignModel, slave: SlaveSp
     return "\n".join(lines) + "\n"
 
 
-def _global_slave(spec: RegisterMapSpec, model: DesignModel, slave: SlaveSpec,
-                  module_name: str) -> str:
-    regs = sorted(slave.registers, key=lambda r: r.offset)
-    idents = _reg_idents(slave)
+def _global_slave(spec: RegisterMapSpec, model: DesignModel, header: str,
+                  slave: SlaveSpec, module_name: str, regs: list[SettingSpec],
+                  idents: dict[str, str]) -> str:
     bits = slave.setting_bits
     opts = model.options
     sync_len = spec.architecture.sync_length
@@ -137,7 +144,7 @@ def _global_slave(spec: RegisterMapSpec, model: DesignModel, slave: SlaveSpec,
     ports = ["input  logic clk", f"input  logic {_range(bits)}settings_in"]
     ports += [f"output logic {_range(r.width)}cfg_{idents[r.name]}" for r in regs]
 
-    lines = [_header(spec, model)]
+    lines = [header]
     lines.append(f"module {module_name} (")
     lines.append(",\n".join(_INDENT + p for p in ports))
     lines.append(");")
@@ -178,8 +185,9 @@ def _global_slave(spec: RegisterMapSpec, model: DesignModel, slave: SlaveSpec,
     return "\n".join(lines) + "\n"
 
 
-def _distributed_top(spec: RegisterMapSpec, model: DesignModel, top_name: str,
-                     slave_modules: dict[str, str], slave_idents: dict[str, str]) -> str:
+def _distributed_top(spec: RegisterMapSpec, header: str, top_name: str,
+                     slave_modules: dict[str, str], slave_idents: dict[str, str],
+                     slave_regs: _SlaveRegs) -> str:
     bus = spec.bus
     domains = sanitize_names([d.name for d in spec.clock_domains])
 
@@ -194,14 +202,13 @@ def _distributed_top(spec: RegisterMapSpec, model: DesignModel, top_name: str,
         ident = slave_idents[slave.name]
         ports.append(f"input  logic {ident}_busy")
         ports.append(f"output logic {ident}_ready")
-        regs = sorted(slave.registers, key=lambda r: r.offset)
-        reg_idents = _reg_idents(slave)
+        regs, reg_idents = slave_regs[slave.name]
         ports += [
             f"output logic {_range(r.width)}{ident}_cfg_{reg_idents[r.name]}" for r in regs
         ]
 
     cfg_clk = domains[spec.clock_domains[0].name]
-    lines = [_header(spec, model)]
+    lines = [header]
     lines.append(f"module {top_name} (")
     lines.append(",\n".join(_INDENT + p for p in ports))
     lines.append(");")
@@ -218,8 +225,7 @@ def _distributed_top(spec: RegisterMapSpec, model: DesignModel, top_name: str,
     lines.append("")
     for slave in spec.slaves:
         ident = slave_idents[slave.name]
-        regs = sorted(slave.registers, key=lambda r: r.offset)
-        reg_idents = _reg_idents(slave)
+        regs, reg_idents = slave_regs[slave.name]
         lines.append(f"{_INDENT}{slave_modules[slave.name]} u_{ident} (")
         conns = [
             f".cfg_clk({cfg_clk})",
@@ -241,8 +247,9 @@ def _distributed_top(spec: RegisterMapSpec, model: DesignModel, top_name: str,
     return "\n".join(lines) + "\n"
 
 
-def _global_top(spec: RegisterMapSpec, model: DesignModel, top_name: str,
-                slave_modules: dict[str, str], slave_idents: dict[str, str]) -> str:
+def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str, top_name: str,
+                slave_modules: dict[str, str], slave_idents: dict[str, str],
+                slave_regs: _SlaveRegs) -> str:
     bus = spec.bus
     arch = spec.architecture
     opts = model.options
@@ -260,13 +267,12 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, top_name: str,
     ]
     for slave in spec.slaves:
         ident = slave_idents[slave.name]
-        regs = sorted(slave.registers, key=lambda r: r.offset)
-        reg_idents = _reg_idents(slave)
+        regs, reg_idents = slave_regs[slave.name]
         ports += [
             f"output logic {_range(r.width)}{ident}_cfg_{reg_idents[r.name]}" for r in regs
         ]
 
-    lines = [_header(spec, model)]
+    lines = [header]
     lines.append(f"module {top_name} (")
     lines.append(",\n".join(_INDENT + p for p in ports))
     lines.append(");")
@@ -313,7 +319,7 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, top_name: str,
         if not slave.registers:
             continue
         ident = slave_idents[slave.name]
-        regs = sorted(slave.registers, key=lambda r: r.offset)
+        regs = slave_regs[slave.name][0]
         parts = []
         for r in reversed(regs):
             word = word_of[slave.base_addr + r.offset]
@@ -330,8 +336,7 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, top_name: str,
         if not slave.registers:
             continue
         ident = slave_idents[slave.name]
-        regs = sorted(slave.registers, key=lambda r: r.offset)
-        reg_idents = _reg_idents(slave)
+        regs, reg_idents = slave_regs[slave.name]
         clk = domains[slave.clock_domain]
         lines.append(f"{_INDENT}{slave_modules[slave.name]} u_{ident} (")
         conns = [f".clk({clk})", f".settings_in({ident}_bundle)"]
@@ -357,23 +362,26 @@ def emit(model: DesignModel, spec: RegisterMapSpec) -> dict[str, str]:
         name: f"{design}_{ident}" for name, ident in slave_idents.items()
     }
     top_name = f"{design}_top"
+    header = _header(spec, model)
+    slave_regs = _slave_regs(spec)
 
     files: dict[str, str] = {}
     if topology == "distributed":
         files[f"{top_name}.sv"] = _distributed_top(
-            spec, model, top_name, slave_modules, slave_idents
+            spec, header, top_name, slave_modules, slave_idents, slave_regs
         )
         for slave in spec.slaves:
             files[f"{slave_modules[slave.name]}.sv"] = _distributed_slave(
-                spec, model, slave, slave_modules[slave.name]
+                spec, header, slave, slave_modules[slave.name], *slave_regs[slave.name]
             )
     else:
         files[f"{top_name}.sv"] = _global_top(
-            spec, model, top_name, slave_modules, slave_idents
+            spec, model, header, top_name, slave_modules, slave_idents, slave_regs
         )
         for slave in spec.slaves:
             files[f"{slave_modules[slave.name]}.sv"] = _global_slave(
-                spec, model, slave, slave_modules[slave.name]
+                spec, model, header, slave, slave_modules[slave.name],
+                *slave_regs[slave.name]
             )
     return files
 
@@ -475,10 +483,11 @@ def emit_testbench(model: DesignModel, spec: RegisterMapSpec, script: ProgramScr
         lines.append(f"{_INDENT * 2}cfg_write = 1'b0;")
     lines.append(f"{_INDENT * 2}#{horizon};")
     checks = 0
+    slave_regs = _slave_regs(spec)
     for slave in spec.slaves:
         ident = slave_idents[slave.name]
-        reg_idents = _reg_idents(slave)
-        for r in sorted(slave.registers, key=lambda r: r.offset):
+        regs, reg_idents = slave_regs[slave.name]
+        for r in regs:
             expected = sim.backdoor_read(slave.name, r.offset)
             path = f"dut.u_{ident}.{reg_idents[r.name]}_q"
             lines.append(

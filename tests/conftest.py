@@ -3,7 +3,21 @@ import random
 
 import pytest
 
-from regforge import parse_spec
+from regforge import (
+    CapacityError,
+    ElaborationOptions,
+    elaborate_distributed,
+    elaborate_global,
+    parse_spec,
+    structural_counts,
+)
+from regforge.cost import (
+    DesignPoint,
+    estimate_registers,
+    point_to_spec,
+    register_overhead,
+    widest_unregistered_bundle,
+)
 
 
 def make_spec_doc(
@@ -55,6 +69,53 @@ def make_spec_doc(
 
 def make_spec(**kwargs):
     return parse_spec(json.dumps(make_spec_doc(**kwargs)))
+
+
+def oracle_model(point):
+    """Elaborate a design point through the spec bridge with the point's
+    own stage flags: the structural oracle for the estimator's closed forms."""
+    spec = point_to_spec(point)
+    if point.topology == "distributed":
+        return elaborate_distributed(spec)
+    return elaborate_global(
+        spec, ElaborationOptions(point.output_registered, point.cdc, point.dest_registers)
+    )
+
+
+def check_against_oracle(point, cal):
+    """Assert the register model and the bundle width equal the oracle's
+    structural counts.  For a point whose settings do not fit its memory,
+    assert the estimator raises the elaborator's CapacityError message and
+    return that message; return None for a point that fits."""
+    try:
+        counts = structural_counts(oracle_model(point))
+    except CapacityError as exc:
+        with pytest.raises(CapacityError) as raised:
+            widest_unregistered_bundle(point)
+        assert str(raised.value) == str(exc)
+        return str(exc)
+    assert estimate_registers(point, cal) - register_overhead(point, cal) == counts.flipflops
+    assert widest_unregistered_bundle(point) == counts.max_unregistered_bundle_bits
+    return None
+
+
+# One point per capacity check, in the elaborator's order, with its message.
+OVER_CAPACITY = (
+    (
+        DesignPoint.named("global", depth=4, width=8, targets=8, target_width=8),
+        "settings need 64 bits but memory is 4x8",
+    ),
+    (
+        DesignPoint.named("global_registered", depth=4, width=32, targets=8,
+                          target_width=1),
+        "settings occupy 8 words but memory depth is 4",
+    ),
+    (
+        DesignPoint.named("global_cdc_dest", depth=16, width=4, targets=2,
+                          target_width=8, slaves=2),
+        "setting width 8 exceeds memory word width 4",
+    ),
+)
 
 
 @pytest.fixture

@@ -28,14 +28,12 @@ from regforge.cost import (
     estimate_fmax,
     estimate_registers,
     fmax_from_bundle,
-    point_to_spec,
-    register_overhead,
     widest_unregistered_bundle,
 )
 from regforge.sim import BusyWindow, ProgramScript, ScriptWrite
 from regforge.spec import SettingSpec
 
-from conftest import make_spec
+from conftest import OVER_CAPACITY, check_against_oracle, make_spec
 from test_sim import fold_oracle, random_script
 
 CFG = 10_000
@@ -226,19 +224,16 @@ def test_criterion_09_model_elaborator_exactness():
                 cdc=rng.random() < 0.5,
                 dest_registers=rng.random() < 0.5,
             )
-        spec = point_to_spec(point)
-        if point.topology == "distributed":
-            model = elaborate(spec)
-        else:
-            model = elaborate_global(
-                spec,
-                ElaborationOptions(point.output_registered, point.cdc, point.dest_registers),
-            )
-        flipflops = structural_counts(model).flipflops
-        assert estimate_registers(point, CAL) - register_overhead(point, CAL) == flipflops
+        assert check_against_oracle(point, CAL) is None
         checked += 1
     assert checked == 500
-    _report(9, "500 random points: register model == structural count + overhead, exact")
+    for point, message in OVER_CAPACITY:
+        assert check_against_oracle(point, CAL) == message
+    _report(
+        9,
+        "500 random points: register model == structural count + overhead and "
+        "bundle width == widest unregistered bundle, exact; capacity errors match",
+    )
 
 
 def test_criterion_10_emitter_determinism_and_goldens():

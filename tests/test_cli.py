@@ -174,6 +174,29 @@ def test_estimate_with_calibration_file(tmp_path, capsys):
     assert "7499" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["estimate", "--point", "topology=distributed,S=-1,N_t=4"], "S"),
+        (["estimate", "--point", "topology=distributed,N_t=-3"], "N_t"),
+        (["estimate", "--point", "topology=distributed,N_t=4,w=0"], "w"),
+        (["estimate", "--point", "topology=distributed,N_t=4,L=0"], "L"),
+        (["estimate", "--point", "topology=global,D=-1,W=8"], "D"),
+        (["compare", "--point", "topology=distributed",
+          "--point", "topology=global,D=8,W=-8"], "W"),
+        (["sweep", "--point", "topology=global,D=256,W=32", "--sweep", "N_t=-2:2:1"], "N_t"),
+        (["sweep", "--point", "topology=global,W=32", "--sweep", "D=64;-1"], "D"),
+        (["sweep", "--point", "topology=distributed,N_t=4", "--sweep", "S=-1;1"], "S"),
+        (["sweep", "--point", "topology=distributed,N_t=4,w=0", "--sweep", "S=1;2"], "w"),
+    ],
+)
+def test_out_of_range_point_field_exits_1(argv, field, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"point field {field} must be >=" in captured.err
+    assert captured.out == ""
+
+
 def test_parse_point_named_topology_flags():
     point = parse_point("topology=global_cdc_dest,D=256,W=32,N_t=226,w=32")
     assert point.output_registered and point.cdc and point.dest_registers

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,8 +8,6 @@ from regforge import (
     UncalibratedError,
     calibrate,
     default_calibration,
-    elaborate,
-    structural_counts,
 )
 from regforge.cost import (
     DEFAULT_CORPUS,
@@ -17,7 +16,6 @@ from regforge.cost import (
     calibration_from_json,
     calibration_to_json,
     compare,
-    elaborate_point,
     estimate,
     estimate_alms,
     estimate_aluts,
@@ -26,13 +24,14 @@ from regforge.cost import (
     fmax_from_bundle,
     load_calibration,
     point_to_spec,
-    register_overhead,
     save_calibration,
     sweep,
     sweep_to_csv,
     widest_unregistered_bundle,
 )
 from regforge.spec import validate
+
+from conftest import OVER_CAPACITY, check_against_oracle
 
 GMAX = DesignPoint.named(
     "global_cdc_dest", depth=256, width=32, targets=226, target_width=32,
@@ -122,24 +121,38 @@ def test_point_to_spec_is_valid_and_matches_structure():
 
 
 def test_exactness_against_structural_oracle(cal):
+    for point, message in OVER_CAPACITY:
+        assert check_against_oracle(point, cal) == message
     rng = random.Random(4242)
     topologies = ["global", "global_registered", "global_cdc_dest", "distributed"]
-    for trial in range(60):
+    fitted = misfits = 0
+    for trial in range(240):
         topology = topologies[trial % 4]
         targets = rng.randrange(0, 40)
-        width = rng.choice([1, 8, 16, 32])
+        target_width = rng.choice([1, 3, 8, 16, 32])
         slaves = rng.randrange(0 if topology != "distributed" else 1, 5)
+        words = slaves * targets
         point = DesignPoint.named(
             topology,
-            depth=max(slaves * targets, 1) * 2,
-            width=width,
+            depth=rng.choice([2 * max(words, 1), words, max(words - 1, 0)]),
+            width=rng.choice([target_width, target_width + 7, target_width - 1]),
             targets=targets,
-            target_width=width,
+            target_width=target_width,
             sync_length=rng.choice([2, 3]),
             slaves=slaves,
         )
-        flipflops = structural_counts(elaborate_point(point)).flipflops
-        assert estimate_registers(point, cal) - register_overhead(point, cal) == flipflops
+        if topology != "distributed" and rng.random() < 0.5:
+            point = dataclasses.replace(
+                point,
+                output_registered=rng.random() < 0.5,
+                cdc=rng.random() < 0.5,
+                dest_registers=rng.random() < 0.5,
+            )
+        if check_against_oracle(point, cal) is None:
+            fitted += 1
+        else:
+            misfits += 1
+    assert fitted >= 150 and misfits >= 20
 
 
 def test_affine_in_each_knob(cal):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from regforge import EmitError, elaborate, emit, emit_testbench, load_spec
+from regforge import DesignModel, EmitError, elaborate, emit, emit_testbench, load_spec
 from regforge.emit import sanitize_names
 from regforge.sim import BusyWindow, ProgramScript, ScriptWrite, SwapRequest
 from regforge.spec import SettingSpec
@@ -97,6 +97,24 @@ def test_header_embeds_name_and_model_hash(distributed_spec):
         first = text.splitlines()[0]
         assert distributed_spec.name in first
         assert model.content_hash()[:12] in first
+
+
+@pytest.mark.parametrize("topology", ["distributed", "global_cdc_dest"])
+def test_emit_hashes_model_once(topology, monkeypatch):
+    spec = make_spec(n_slaves=4, regs_per_slave=3, topology=topology,
+                     global_depth=16, global_width=32)
+    model = elaborate(spec)
+    calls = []
+    content_hash = DesignModel.content_hash
+
+    def counting(self):
+        calls.append(self)
+        return content_hash(self)
+
+    monkeypatch.setattr(DesignModel, "content_hash", counting)
+    files = emit(model, spec)
+    assert len(files) == 5
+    assert calls == [model]
 
 
 def test_files_use_lf_and_trailing_newline(distributed_spec):
