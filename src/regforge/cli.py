@@ -24,43 +24,15 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_TIMEOUT = 3
 
-_POINT_FIELDS = {
-    "topology": str,
-    "D": int,
-    "W": int,
-    "N_t": int,
-    "w": int,
-    "L": int,
-    "S": int,
-    "output_registered": bool,
-    "cdc": bool,
-    "dest_registers": bool,
-}
-
-# Lowest value of each numeric point field: the bounds spec.validate applies
-# to memory dimensions, setting widths and synchronizer lengths.
-_POINT_MIN = {"D": 0, "W": 0, "N_t": 0, "S": 0, "w": 1, "L": 1}
-
-_POINT_RENAME = {
-    "D": "depth",
-    "W": "width",
-    "N_t": "targets",
-    "w": "target_width",
-    "L": "sync_length",
-    "S": "slaves",
-}
-
-
-def _check_point_value(key: str, value: int) -> int:
-    if value < _POINT_MIN[key]:
-        raise SpecError(f"point field {key} must be >= {_POINT_MIN[key]}, got {value}")
-    return value
+# Boolean point fields; the numeric ones are named in cost.POINT_FIELDS.
+_POINT_FLAGS = ("output_registered", "cdc", "dest_registers")
 
 
 def parse_point(text: str) -> cost.DesignPoint:
     """Parse ``k=v,...`` into a design point; topology flags default from
     the named topology."""
-    raw: dict = {}
+    topology = None
+    kwargs: dict = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -69,26 +41,26 @@ def parse_point(text: str) -> cost.DesignPoint:
             raise SpecError(f"point field {item!r} is not k=v")
         key, value = item.split("=", 1)
         key = key.strip()
-        if key not in _POINT_FIELDS:
-            raise SpecError(f"unknown point field {key!r}")
-        kind = _POINT_FIELDS[key]
-        if kind is int:
-            raw[key] = _check_point_value(key, int(value, 0))
-        elif kind is bool:
-            raw[key] = value.strip().lower() in ("1", "true", "yes", "on")
+        if key == "topology":
+            topology = value.strip()
+        elif key in cost.POINT_FIELDS:
+            kwargs[cost.POINT_FIELDS[key][0]] = int(value, 0)
+        elif key in _POINT_FLAGS:
+            kwargs[key] = value.strip().lower() in ("1", "true", "yes", "on")
         else:
-            raw[key] = value.strip()
-    if "topology" not in raw:
+            raise SpecError(f"unknown point field {key!r}")
+    if topology is None:
         raise SpecError("point needs a topology field")
-    topology = raw.pop("topology")
     if topology not in TOPOLOGIES:
         raise SpecError(f"unknown topology {topology!r}")
-    kwargs = {_POINT_RENAME.get(k, k): v for k, v in raw.items()}
     return cost.DesignPoint.named(topology, **kwargs)
 
 
 def parse_sweep_range(text: str) -> tuple[str, list[int]]:
-    """Parse ``key=start:stop:step`` (stop inclusive) or ``key=a;b;c``."""
+    """Parse ``key=start:stop:step`` (stop inclusive) or ``key=a;b;c``.
+
+    Each value is checked against its bound here, as ``cost.sweep``
+    zeroes D and W for distributed points."""
     if "=" not in text:
         raise SpecError(f"sweep range {text!r} is not key=range")
     key, spec_text = text.split("=", 1)
@@ -109,7 +81,7 @@ def parse_sweep_range(text: str) -> tuple[str, list[int]]:
     if not values:
         raise SpecError(f"sweep range {text!r} is empty")
     for value in values:
-        _check_point_value(key, value)
+        cost.check_point_field(key, value)
     return key, values
 
 

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
 from .elaborate import TOPOLOGY_FLAGS, check_capacity
-from .errors import CalibrationError, UncalibratedError
+from .errors import CalibrationError, SpecError, UncalibratedError
 from .spec import (
     TOPOLOGIES,
     ArchChoice,
@@ -38,7 +39,30 @@ from .spec import (
     SlaveSpec,
 )
 
-SWEEP_CSV_HEADER = "topology,D,W,N_t,w,L,S,registers,alms,aluts,fmax_mhz"
+# Short name -> (DesignPoint field, lowest value) of each numeric point
+# field: the bounds spec.validate applies to memory dimensions, setting
+# widths and synchronizer lengths.
+POINT_FIELDS = {
+    "D": ("depth", 0),
+    "W": ("width", 0),
+    "N_t": ("targets", 0),
+    "w": ("target_width", 1),
+    "L": ("sync_length", 1),
+    "S": ("slaves", 0),
+}
+
+
+def check_point_field(name: str, value: int) -> None:
+    """Raise :class:`SpecError` if ``value`` is below the bound of the
+    :data:`POINT_FIELDS` entry ``name``."""
+    low = POINT_FIELDS[name][1]
+    if value < low:
+        raise SpecError(f"point field {name} must be >= {low}, got {value}")
+
+
+SWEEP_CSV_HEADER = ",".join(
+    ("topology", *POINT_FIELDS, "registers", "alms", "aluts", "fmax_mhz")
+)
 
 ALM_FAMILIES = ("global_memory", "global_targets", "distributed")
 ALUT_FAMILIES = ("global", "distributed")
@@ -51,7 +75,8 @@ class DesignPoint:
     ``depth``/``width`` size the central memory (unused when
     distributed); each of ``slaves`` slave blocks consumes ``targets``
     settings of ``target_width`` bits.  The register-stage flags follow
-    the named topology unless overridden.
+    the named topology unless overridden.  Numeric fields below their
+    :data:`POINT_FIELDS` bound raise :class:`SpecError`.
     """
 
     topology: str
@@ -65,19 +90,25 @@ class DesignPoint:
     cdc: bool = False
     dest_registers: bool = False
 
+    def __post_init__(self):
+        for name, (attr, _) in POINT_FIELDS.items():
+            check_point_field(name, getattr(self, attr))
+
     @classmethod
     def named(cls, topology: str, **kwargs) -> "DesignPoint":
         """Build a point with the named topology's canonical flags."""
         if topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {topology!r}")
-        flags = TOPOLOGY_FLAGS.get(topology, (False, False, False))
-        point = cls(
-            topology=topology,
-            output_registered=flags[0],
-            cdc=flags[1],
-            dest_registers=flags[2],
+        output_registered, cdc, dest_registers = TOPOLOGY_FLAGS.get(
+            topology, (False, False, False)
         )
-        return replace(point, **kwargs)
+        return cls(**{
+            "topology": topology,
+            "output_registered": output_registered,
+            "cdc": cdc,
+            "dest_registers": dest_registers,
+            **kwargs,
+        })
 
 
 @dataclass(frozen=True)
@@ -269,16 +300,16 @@ def estimate_aluts(point: DesignPoint, cal: Calibration) -> float:
 
 
 def estimate_alms(point: DesignPoint, cal: Calibration) -> float:
+    return _alms(point, cal, estimate_registers(point, cal), estimate_aluts(point, cal))
+
+
+def _alms(point: DesignPoint, cal: Calibration, registers: int, aluts: float) -> float:
+    """ALMs from the point's already estimated registers and ALUTs."""
     family = alm_family(point)
     coeffs = cal.alm_coeffs.get(family)
     if coeffs is None:
         raise UncalibratedError(f"no ALM fit for family {family!r}")
-    features = (
-        float(estimate_registers(point, cal)),
-        estimate_aluts(point, cal),
-        1.0,
-    )
-    return max(0.0, float(np.dot(coeffs, features)))
+    return max(0.0, float(np.dot(coeffs, (float(registers), aluts, 1.0))))
 
 
 # --------------------------------------------------------------------------
@@ -336,8 +367,6 @@ def estimate_fmax(point: DesignPoint, cal: Calibration) -> float:
     so they rank above any centralized design whose per-slave settings
     exceed that bus width.
     """
-    if cal.fmax_f0 is None or cal.fmax_b0 is None:
-        raise UncalibratedError("no fmax anchors in calibration")
     return fmax_from_bundle(widest_unregistered_bundle(point), cal)
 
 
@@ -348,10 +377,12 @@ def fmax_from_bundle(bundle_bits: int, cal: Calibration) -> float:
 
 
 def estimate(point: DesignPoint, cal: Calibration) -> ResourceEstimate:
+    registers = estimate_registers(point, cal)
+    aluts = estimate_aluts(point, cal)
     return ResourceEstimate(
-        registers=estimate_registers(point, cal),
-        alms=estimate_alms(point, cal),
-        aluts=estimate_aluts(point, cal),
+        registers=registers,
+        alms=_alms(point, cal, registers, aluts),
+        aluts=aluts,
         fmax_mhz=estimate_fmax(point, cal),
     )
 
@@ -568,14 +599,16 @@ def sweep(
     return rows
 
 
+_point_values = attrgetter(*(attr for attr, _ in POINT_FIELDS.values()))
+
+
 def sweep_to_csv(rows: list[SweepRow]) -> str:
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
         p, e = row.point, row.estimate
         lines.append(
-            f"{p.topology},{p.depth},{p.width},{p.targets},{p.target_width},"
-            f"{p.sync_length},{p.slaves},{e.registers},{e.alms:.1f},{e.aluts:.1f},"
-            f"{e.fmax_mhz:.1f}"
+            f"{p.topology},{','.join(map(str, _point_values(p)))},{e.registers},"
+            f"{e.alms:.1f},{e.aluts:.1f},{e.fmax_mhz:.1f}"
         )
     return "\n".join(lines) + "\n"
 
@@ -623,30 +656,6 @@ def compare(point_a: DesignPoint, point_b: DesignPoint, cal: Calibration) -> Com
 # Persistence
 
 
-def _point_to_dict(point: DesignPoint) -> dict:
-    return {
-        "topology": point.topology,
-        "depth": point.depth,
-        "width": point.width,
-        "targets": point.targets,
-        "target_width": point.target_width,
-        "sync_length": point.sync_length,
-        "slaves": point.slaves,
-        "output_registered": point.output_registered,
-        "cdc": point.cdc,
-        "dest_registers": point.dest_registers,
-    }
-
-
-def _measurement_to_dict(m: Measurement) -> dict:
-    return {
-        "registers": m.registers,
-        "alms": m.alms,
-        "aluts": m.aluts,
-        "fmax_mhz": m.fmax_mhz,
-    }
-
-
 def calibration_to_json(cal: Calibration) -> str:
     doc = {
         "register_overhead": {
@@ -675,7 +684,7 @@ def calibration_to_json(cal: Calibration) -> str:
             "residuals": list(cal.fmax_residuals),
         },
         "corpus": [
-            {"point": _point_to_dict(p), "measured": _measurement_to_dict(m)}
+            {"point": asdict(p), "measured": asdict(m)}
             for p, m in cal.corpus
         ],
     }

@@ -387,23 +387,18 @@ class Simulation:
             gate_open = (not self.distributed) or self._ready[sidx] or self.fault_mode
             if gate_open:
                 offset = addr - self._base[sidx]
-                width = self._widths[sidx].get(offset)
-                if width is None:
-                    # register removed by a swap while the write was in flight
-                    self._emit(t, VIOLATION, self.slave_names[sidx], addr, data,
-                               detail="decode_no_match")
-                else:
-                    value = data & ((1 << width) - 1)
-                    name = self.slave_names[sidx]
-                    self._emit(t, WRITE_ACCEPTED, name, addr, data)
-                    self._emit(t, CONFIG_CHANGED, name, addr, value)
-                    commits.append((sidx, offset, value))
-                    if self.fault_mode and self.distributed and sidx in self._busy_end:
-                        old = self._mem[sidx][offset]
-                        half = width // 2
-                        low_mask = (1 << half) - 1
-                        torn = (old & ~low_mask) | (value & low_mask)
-                        self._tears[(sidx, offset)] = (t, t + self._periods[0], torn)
+                width = self._widths[sidx][offset]
+                value = data & ((1 << width) - 1)
+                name = self.slave_names[sidx]
+                self._emit(t, WRITE_ACCEPTED, name, addr, data)
+                self._emit(t, CONFIG_CHANGED, name, addr, value)
+                commits.append((sidx, offset, value))
+                if self.fault_mode and self.distributed and sidx in self._busy_end:
+                    old = self._mem[sidx][offset]
+                    half = width // 2
+                    low_mask = (1 << half) - 1
+                    torn = (old & ~low_mask) | (value & low_mask)
+                    self._tears[(sidx, offset)] = (t, t + self._periods[0], torn)
                 self._current = None
                 self._held = 0
             else:

@@ -92,13 +92,6 @@ class RegisterMapSpec:
                 return s
         raise KeyError(name)
 
-    @property
-    def config_domain(self) -> ClockDomain:
-        """The configuration bus runs in the first declared clock domain."""
-        if not self.clock_domains:
-            raise SpecError("spec declares no clock domains")
-        return self.clock_domains[0]
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -188,6 +188,7 @@ def test_estimate_with_calibration_file(tmp_path, capsys):
         (["sweep", "--point", "topology=global,W=32", "--sweep", "D=64;-1"], "D"),
         (["sweep", "--point", "topology=distributed,N_t=4", "--sweep", "S=-1;1"], "S"),
         (["sweep", "--point", "topology=distributed,N_t=4,w=0", "--sweep", "S=1;2"], "w"),
+        (["sweep", "--point", "topology=distributed,N_t=4", "--sweep", "D=-1;0"], "D"),
     ],
 )
 def test_out_of_range_point_field_exits_1(argv, field, capsys):

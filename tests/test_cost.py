@@ -1,16 +1,20 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
 from regforge import (
     CalibrationError,
+    SpecError,
     UncalibratedError,
     calibrate,
     default_calibration,
 )
+from regforge import cost
 from regforge.cost import (
     DEFAULT_CORPUS,
+    POINT_FIELDS,
     DesignPoint,
     Measurement,
     calibration_from_json,
@@ -113,6 +117,29 @@ def test_fmax_orders_distributed_above_centralized(cal):
             assert estimate_fmax(dist, cal) > estimate_fmax(glob, cal)
 
 
+@pytest.mark.parametrize("name", list(POINT_FIELDS))
+def test_point_field_below_bound_raises(name):
+    attr, low = POINT_FIELDS[name]
+    with pytest.raises(SpecError, match=f"^point field {name} must be >= {low}, got {low - 1}$"):
+        DesignPoint.named("distributed", **{attr: low - 1})
+    assert getattr(DesignPoint.named("distributed", **{attr: low}), attr) == low
+
+
+def test_estimate_computes_each_term_once(cal, monkeypatch):
+    calls = {"estimate_registers": 0, "estimate_aluts": 0}
+    for name in calls:
+        original = getattr(cost, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cost, name, counted)
+    result = estimate(GMAX, cal)
+    assert calls == {"estimate_registers": 1, "estimate_aluts": 1}
+    assert result.alms == estimate_alms(GMAX, cal)
+
+
 def test_point_to_spec_is_valid_and_matches_structure():
     for point in (GMAX, GBARE, DIST):
         spec = point_to_spec(point)
@@ -211,6 +238,20 @@ def test_sweep_rows_and_csv(cal):
     assert lines[0] == "topology,D,W,N_t,w,L,S,registers,alms,aluts,fmax_mhz"
     assert len(lines) == 7
 
+    # Every topology, plus odd widths, L=3 and N_t=0 / S=0 points: the table
+    # must not change by a byte.
+    rows = sweep(
+        cal, ["global", "global_registered", "global_cdc_dest", "distributed"],
+        depths=[512], widths=[32], targets=list(range(26, 227, 40)), slaves=[1, 2],
+    )
+    rows += sweep(
+        cal, ["distributed"], targets=[0, 4, 9], slaves=[0, 1, 3],
+        target_width=7, sync_length=3,
+    )
+    assert len(rows) == 57
+    digest = hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest()
+    assert digest == "2d249dbeca43d2b4a6ba4139ab4a02464bb44873b3b89d7f5f482e81af6e1be3"
+
 
 def test_sweep_register_columns_affine(cal):
     rows = sweep(
@@ -272,13 +313,6 @@ def test_calibration_json_round_trip(cal, tmp_path):
     assert loaded.fmax_b0 == cal.fmax_b0
     assert estimate(GMAX, loaded) == estimate(GMAX, cal)
     assert calibration_from_json(calibration_to_json(loaded)).corpus == cal.corpus
-
-
-def test_shipped_calibration_file_matches_computed(cal):
-    from importlib import resources
-
-    text = (resources.files("regforge") / "data" / "default_calibration.json").read_text()
-    assert text == calibration_to_json(cal)
 
 
 def test_default_corpus_registers_are_consistent(cal):
