@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -241,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="register map JSON document")
     p.add_argument("--arch", help="override the spec's topology")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("simulate", help="run a programming script")
     p.add_argument("--spec", required=True)
@@ -251,13 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the event trace CSV here")
     p.add_argument("--fault-mode", action="store_true", dest="fault_mode",
                    help="disable ready gating (negative testing)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate resources for one point")
     p.add_argument("--point", action="append", required=True,
                    help="k=v,... e.g. topology=distributed,N_t=226,w=32")
     p.add_argument("--calibration", help="calibration JSON (default: built-in)")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="estimate over a parameter sweep")
     p.add_argument("--point", action="append", required=True, help="base point k=v,...")
@@ -266,22 +264,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topologies", help="comma-separated topology set")
     p.add_argument("--csv", help="write the sweep table here")
     p.add_argument("--calibration")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="resource ratios of point A over point B")
     p.add_argument("--point", action="append", required=True,
                    help="give twice: first A, then B")
     p.add_argument("--calibration")
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call of the
+    process; parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, not stored in the parser, so wrappers installed on
+    # the cmd_* globals after the first call (perfbench's tracer) still run.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -91,14 +91,17 @@ class DesignPoint:
     dest_registers: bool = False
 
     def __post_init__(self):
+        if self.topology not in TOPOLOGIES:
+            raise SpecError(
+                f"point topology must be one of {', '.join(TOPOLOGIES)}, "
+                f"got {self.topology!r}"
+            )
         for name, (attr, _) in POINT_FIELDS.items():
             check_point_field(name, getattr(self, attr))
 
     @classmethod
     def named(cls, topology: str, **kwargs) -> "DesignPoint":
         """Build a point with the named topology's canonical flags."""
-        if topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {topology!r}")
         output_registered, cdc, dest_registers = TOPOLOGY_FLAGS.get(
             topology, (False, False, False)
         )
@@ -579,23 +582,30 @@ def sweep(
     target_width: int = 32,
     sync_length: int = 2,
 ) -> list[SweepRow]:
-    """Estimate every point of the cartesian sweep, in a stable order."""
+    """Estimate every point of the cartesian sweep, in a stable order.
+
+    A distributed design has no central memory, so its points take D = W
+    = 0 and appear once per (N_t, S), not once per swept D and W.
+    """
+    memories = [(depth, width) for depth in depths for width in widths]
     rows = []
     for topology in topologies:
-        for depth in depths:
-            for width in widths:
-                for n_targets in targets:
-                    for n_slaves in slaves:
-                        point = DesignPoint.named(
-                            topology,
-                            depth=depth if topology != "distributed" else 0,
-                            width=width if topology != "distributed" else 0,
-                            targets=n_targets,
-                            target_width=target_width,
-                            sync_length=sync_length,
-                            slaves=n_slaves,
-                        )
-                        rows.append(SweepRow(point, estimate(point, cal)))
+        grid = memories
+        if topology == "distributed" and memories:
+            grid = [(0, 0)]
+        for depth, width in grid:
+            for n_targets in targets:
+                for n_slaves in slaves:
+                    point = DesignPoint.named(
+                        topology,
+                        depth=depth,
+                        width=width,
+                        targets=n_targets,
+                        target_width=target_width,
+                        sync_length=sync_length,
+                        slaves=n_slaves,
+                    )
+                    rows.append(SweepRow(point, estimate(point, cal)))
     return rows
 
 

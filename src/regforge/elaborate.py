@@ -22,10 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Union
 
 from .errors import CapacityError
-from .spec import GLOBAL_TOPOLOGIES, AddressEntry, RegisterMapSpec, address_map
+from .spec import GLOBAL_TOPOLOGIES, AddressEntry, RegisterMapSpec
 
 # Canonical flag presets for the named centralized topologies.
 TOPOLOGY_FLAGS = {
@@ -113,7 +114,16 @@ class DesignModel:
         raise KeyError(name)
 
     def to_json(self) -> str:
-        """Canonical dump: elements sorted by (kind, name), stable fields."""
+        """Canonical dump: elements sorted by (kind, name), stable fields.
+
+        The model is immutable, so the text is built on the first call and
+        kept on the instance: the emitted header hash and ``model.json``
+        share one encoding.
+        """
+        return self._json
+
+    @cached_property
+    def _json(self) -> str:
         items = []
         for el in sorted(self.elements, key=lambda e: (e.kind, e.name)):
             entry = {"kind": el.kind, "name": el.name}
@@ -256,10 +266,11 @@ def elaborate_distributed(spec: RegisterMapSpec) -> DesignModel:
     arch = spec.architecture
     cfg_domain = spec.clock_domains[0].name if spec.clock_domains else "cfg"
     bus_bits = spec.bus.addr_width + spec.bus.data_width + 1 + len(spec.slaves)
+    total_words = spec.total_words
     b = _Builder()
 
-    if spec.total_words > 0:
-        b.add(Decoder("cfg_decode", inputs=spec.bus.addr_width, terms=spec.total_words))
+    if total_words > 0:
+        b.add(Decoder("cfg_decode", inputs=spec.bus.addr_width, terms=total_words))
 
     for slave in spec.slaves:
         bits = slave.setting_bits
@@ -277,7 +288,7 @@ def elaborate_distributed(spec: RegisterMapSpec) -> DesignModel:
             SyncChain(f"{slave.name}.busy_sync", bits=1, length=arch.sync_length),
             slave=slave.name,
         )
-        if spec.total_words > 0:
+        if total_words > 0:
             b.add(
                 WireBundle(
                     f"{slave.name}.bus", bits=bus_bits, source="cfg_decode",
@@ -342,12 +353,12 @@ def structural_counts(model: DesignModel) -> StructuralCounts:
     )
 
 
-def global_word_map(spec: RegisterMapSpec) -> dict[int, int]:
+def global_word_map(entries: list[AddressEntry]) -> dict[int, int]:
     """Assign each addressed setting a word slot in the central memory.
 
-    Allocation follows address-map order, so it is stable for a given
-    spec.  Words beyond the last allocated slot remain plain storage and
-    are not reachable over the bus.
+    ``entries`` is the spec's :func:`~regforge.spec.address_map`.
+    Allocation follows its order, so it is stable for a given spec.
+    Words beyond the last allocated slot remain plain storage and are not
+    reachable over the bus.
     """
-    entries: list[AddressEntry] = address_map(spec)
     return {entry.address: slot for slot, entry in enumerate(entries)}

@@ -19,7 +19,7 @@ import re
 from .elaborate import DesignModel, global_word_map
 from .errors import EmitError
 from .sim import ProgramScript, Simulation
-from .spec import GLOBAL_TOPOLOGIES, RegisterMapSpec, SettingSpec, SlaveSpec
+from .spec import GLOBAL_TOPOLOGIES, RegisterMapSpec, SettingSpec, SlaveSpec, address_map
 
 _INDENT = "    "
 
@@ -256,7 +256,7 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str, top_name
     depth, width = arch.global_depth, arch.global_width
     domains = sanitize_names([d.name for d in spec.clock_domains])
     cfg_clk = domains[spec.clock_domains[0].name]
-    word_of = global_word_map(spec)
+    word_of = global_word_map(address_map(spec))
 
     ports = [f"input  logic {domains[d.name]}" for d in spec.clock_domains]
     ports += [

@@ -1,0 +1,113 @@
+"""Typed field readers for regforge's JSON documents.
+
+The register-map parser (:mod:`regforge.spec`) and the programming-script
+parser (:mod:`regforge.sim`) read every field through these functions.
+A reader takes an object, a key and the path of the object, and raises
+:class:`SpecError` carrying the path of the offending field, such as
+``$.slaves[3].registers[5].width``.
+
+That string is formatted only when a reader raises.  A path is
+:data:`ROOT` or a ``(parent, key)`` pair, where ``key`` is a field name
+or an array index, so reading a well-formed document builds no path
+strings at all.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .errors import SpecError
+
+ROOT = ()
+REQUIRED = object()  # default of a field that must be present
+
+
+def format_path(path) -> str:
+    """Render a path as ``$.slaves[3].registers[5].width``."""
+    keys = []
+    while path:
+        path, key = path
+        keys.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    return "$" + "".join(reversed(keys))
+
+
+def _missing(key: str, path) -> SpecError:
+    return SpecError(f"missing required field '{key}'", format_path(path))
+
+
+def _wrong_type(expected: str, value, path, key) -> SpecError:
+    return SpecError(f"expected {expected}, got {type(value).__name__}",
+                     format_path((path, key)))
+
+
+def load_document(text: str) -> dict:
+    """Decode a JSON document whose top level must be an object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"syntax error: {exc.msg} (line {exc.lineno})") from None
+    if not isinstance(doc, dict):
+        raise SpecError(f"expected object, got {type(doc).__name__}", format_path(ROOT))
+    return doc
+
+
+def reject_unknown(obj: dict, allowed: frozenset[str], path) -> None:
+    if not allowed.issuperset(obj):
+        unknown = sorted(set(obj) - allowed)
+        raise SpecError(f"unknown field(s): {', '.join(unknown)}", format_path(path))
+
+
+def read_int(obj: dict, key: str, path, default=REQUIRED) -> int:
+    """A JSON integer, or a decimal or ``0x``-prefixed hex string."""
+    value = obj.get(key, default)
+    if value is REQUIRED:
+        raise _missing(key, path)
+    if isinstance(value, bool):
+        raise SpecError("expected integer, got boolean", format_path((path, key)))
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            if text.lower().startswith(("0x", "-0x")):
+                return int(text, 16)
+            return int(text, 10)
+        except ValueError:
+            raise SpecError(f"not an integer: {value!r}", format_path((path, key))) from None
+    raise _wrong_type("integer", value, path, key)
+
+
+def read_str(obj: dict, key: str, path, default=REQUIRED) -> str:
+    value = obj.get(key, default)
+    if value is REQUIRED:
+        raise _missing(key, path)
+    if not isinstance(value, str):
+        raise _wrong_type("string", value, path, key)
+    return value
+
+
+def read_obj(obj: dict, key: str, path, default=REQUIRED) -> dict:
+    value = obj.get(key, default)
+    if value is REQUIRED:
+        raise _missing(key, path)
+    if not isinstance(value, dict):
+        raise _wrong_type("object", value, path, key)
+    return value
+
+
+def read_list(obj: dict, key: str, path, default=REQUIRED) -> list:
+    value = obj.get(key, default)
+    if value is REQUIRED:
+        raise _missing(key, path)
+    if not isinstance(value, list):
+        raise _wrong_type("array", value, path, key)
+    return value
+
+
+def objects(items: list, path):
+    """Yield ``(path, element)`` for each element of the array ``items``
+    found at ``path``, checking each is an object as it is reached."""
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise _wrong_type("object", item, path, i)
+        yield (path, i), item

@@ -37,24 +37,23 @@ and final state are the same as stepping every edge.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
 from .bus import DEFAULT_TIMEOUT_CYCLES
 from .elaborate import DesignModel, global_word_map
 from .errors import SimError, SpecError
-from .spec import (
-    RegisterMapSpec,
-    SettingSpec,
-    address_map,
-    _parse_int,
-    _parse_list,
-    _parse_obj,
-    _parse_setting,
-    _parse_str,
-    _reject_unknown,
+from .fields import (
+    ROOT,
+    load_document,
+    objects,
+    read_int,
+    read_list,
+    read_obj,
+    read_str,
+    reject_unknown,
 )
+from .spec import RegisterMapSpec, SettingSpec, address_map, parse_fragment
 
 WRITE_ISSUED = "write_issued"
 WRITE_ACCEPTED = "write_accepted"
@@ -114,58 +113,49 @@ class CoherenceViolation:
     data: int | None
 
 
+_SCRIPT_KEYS = frozenset(("writes", "busy_windows", "swaps"))
+_WRITE_KEYS = frozenset(("at_cycle", "addr", "data"))
+_WINDOW_KEYS = frozenset(("slave", "start_ps", "end_ps"))
+_SWAP_KEYS = frozenset(("at_ps", "slave", "new_spec_fragment"))
+
+
 def parse_script(text: str) -> ProgramScript:
     """Parse a programming-script JSON document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"syntax error: {exc.msg} (line {exc.lineno})") from None
-    doc = _parse_obj(doc, "$")
-    _reject_unknown(doc, ("writes", "busy_windows", "swaps"), "$")
+    doc = load_document(text)
+    reject_unknown(doc, _SCRIPT_KEYS, ROOT)
 
     writes = []
-    for i, obj in enumerate(_parse_list(doc.get("writes", []), "$.writes")):
-        path = f"$.writes[{i}]"
-        obj = _parse_obj(obj, path)
-        _reject_unknown(obj, ("at_cycle", "addr", "data"), path)
+    for path, obj in objects(read_list(doc, "writes", ROOT, []), (ROOT, "writes")):
+        reject_unknown(obj, _WRITE_KEYS, path)
         writes.append(
             ScriptWrite(
-                at_cycle=_parse_int(obj.get("at_cycle", 0), f"{path}.at_cycle"),
-                addr=_parse_int(obj.get("addr", 0), f"{path}.addr"),
-                data=_parse_int(obj.get("data", 0), f"{path}.data"),
+                at_cycle=read_int(obj, "at_cycle", path, 0),
+                addr=read_int(obj, "addr", path, 0),
+                data=read_int(obj, "data", path, 0),
             )
         )
 
     windows = []
-    for i, obj in enumerate(_parse_list(doc.get("busy_windows", []), "$.busy_windows")):
-        path = f"$.busy_windows[{i}]"
-        obj = _parse_obj(obj, path)
-        _reject_unknown(obj, ("slave", "start_ps", "end_ps"), path)
+    for path, obj in objects(read_list(doc, "busy_windows", ROOT, []), (ROOT, "busy_windows")):
+        reject_unknown(obj, _WINDOW_KEYS, path)
         windows.append(
             BusyWindow(
-                slave=_parse_str(obj.get("slave", ""), f"{path}.slave"),
-                start_ps=_parse_int(obj.get("start_ps", 0), f"{path}.start_ps"),
-                end_ps=_parse_int(obj.get("end_ps", 0), f"{path}.end_ps"),
+                slave=read_str(obj, "slave", path, ""),
+                start_ps=read_int(obj, "start_ps", path, 0),
+                end_ps=read_int(obj, "end_ps", path, 0),
             )
         )
 
     swaps = []
-    for i, obj in enumerate(_parse_list(doc.get("swaps", []), "$.swaps")):
-        path = f"$.swaps[{i}]"
-        obj = _parse_obj(obj, path)
-        _reject_unknown(obj, ("at_ps", "slave", "new_spec_fragment"), path)
-        frag = _parse_obj(obj.get("new_spec_fragment", {}), f"{path}.new_spec_fragment")
-        _reject_unknown(frag, ("registers",), f"{path}.new_spec_fragment")
-        regs = tuple(
-            _parse_setting(r, f"{path}.new_spec_fragment.registers[{j}]")
-            for j, r in enumerate(
-                _parse_list(frag.get("registers", []), f"{path}.new_spec_fragment.registers")
-            )
+    for path, obj in objects(read_list(doc, "swaps", ROOT, []), (ROOT, "swaps")):
+        reject_unknown(obj, _SWAP_KEYS, path)
+        regs = parse_fragment(
+            read_obj(obj, "new_spec_fragment", path, {}), (path, "new_spec_fragment")
         )
         swaps.append(
             SwapRequest(
-                at_ps=_parse_int(obj.get("at_ps", 0), f"{path}.at_ps"),
-                slave=_parse_str(obj.get("slave", ""), f"{path}.slave"),
+                at_ps=read_int(obj, "at_ps", path, 0),
+                slave=read_str(obj, "slave", path, ""),
                 registers=regs,
             )
         )
@@ -240,15 +230,22 @@ class Simulation:
         self._unsettled = set(range(len(spec.slaves))) if self.distributed else set()
         self._rotation = [0] * len(spec.slaves)
 
-        self._decode = {}
-        for entry in address_map(spec):
+        entries = address_map(spec)
+        decode = self._decode = {}
+        for entry in entries:
+            addr = entry.address
+            if addr in decode:
+                other = self.slave_names[decode[addr][0]]
+                raise SimError(
+                    f"address {addr} decodes to both slave {other!r} and slave {entry.slave!r}"
+                )
             idx = self._slave_idx[entry.slave]
-            self._decode[entry.address] = (idx, entry.address - self._base[idx])
+            decode[addr] = (idx, addr - self._base[idx])
 
         self._word_of: dict[int, int] = {}
         self._words: dict[int, int] = {}
         if not self.distributed:
-            self._word_of = global_word_map(spec)
+            self._word_of = global_word_map(entries)
             for addr, word in self._word_of.items():
                 sidx, off = self._decode[addr]
                 self._words[word] = self._resets[sidx][off]

@@ -15,8 +15,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import SpecError
+from .fields import (
+    ROOT,
+    load_document,
+    objects,
+    read_int,
+    read_list,
+    read_obj,
+    read_str,
+    reject_unknown,
+)
 
 TOPOLOGIES = ("global", "global_registered", "global_cdc_dest", "distributed")
 GLOBAL_TOPOLOGIES = ("global", "global_registered", "global_cdc_dest")
@@ -120,8 +132,10 @@ class ValidationReport:
         return "\n".join(str(d) for d in self.diagnostics)
 
 
-@dataclass(frozen=True)
-class AddressEntry:
+class AddressEntry(NamedTuple):
+    """One addressed setting.  A tuple, not a dataclass, because the
+    address map builds one per register for every decoder and simulator."""
+
     slave: str
     setting: str
     address: int
@@ -130,78 +144,45 @@ class AddressEntry:
 # --------------------------------------------------------------------------
 # Parsing
 
-
-def _parse_int(value, path: str) -> int:
-    if isinstance(value, bool):
-        raise SpecError("expected integer, got boolean", path)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            if text.lower().startswith(("0x", "-0x")):
-                return int(text, 16)
-            return int(text, 10)
-        except ValueError:
-            raise SpecError(f"not an integer: {value!r}", path) from None
-    raise SpecError(f"expected integer, got {type(value).__name__}", path)
+_SPEC_KEYS = frozenset(("name", "bus", "clock_domains", "slaves", "architecture"))
+_BUS_KEYS = frozenset(("data_width", "addr_width", "slave_select_bits"))
+_DOMAIN_KEYS = frozenset(("name", "period_ps"))
+_SLAVE_KEYS = frozenset(("name", "clock_domain", "base_addr", "registers"))
+_SETTING_KEYS = frozenset(("name", "offset", "width", "reset_value"))
+_ARCH_KEYS = frozenset(("topology", "sync_length", "global_depth", "global_width"))
+_FRAGMENT_KEYS = frozenset(("registers",))
 
 
-def _parse_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SpecError(f"expected string, got {type(value).__name__}", path)
-    return value
+def _parse_settings(items: list, path) -> tuple[SettingSpec, ...]:
+    settings = []
+    for reg_path, obj in objects(items, path):
+        reject_unknown(obj, _SETTING_KEYS, reg_path)
+        settings.append(SettingSpec(
+            name=read_str(obj, "name", reg_path),
+            offset=read_int(obj, "offset", reg_path),
+            width=read_int(obj, "width", reg_path),
+            reset_value=read_int(obj, "reset_value", reg_path, 0),
+        ))
+    return tuple(settings)
 
 
-def _parse_obj(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SpecError(f"expected object, got {type(value).__name__}", path)
-    return value
-
-
-def _parse_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise SpecError(f"expected array, got {type(value).__name__}", path)
-    return value
-
-
-def _reject_unknown(obj: dict, allowed: tuple[str, ...], path: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise SpecError(f"unknown field(s): {', '.join(unknown)}", path)
-
-
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SpecError(f"missing required field '{key}'", path)
-    return obj[key]
-
-
-def _parse_setting(obj, path: str) -> SettingSpec:
-    obj = _parse_obj(obj, path)
-    _reject_unknown(obj, ("name", "offset", "width", "reset_value"), path)
-    return SettingSpec(
-        name=_parse_str(_require(obj, "name", path), f"{path}.name"),
-        offset=_parse_int(_require(obj, "offset", path), f"{path}.offset"),
-        width=_parse_int(_require(obj, "width", path), f"{path}.width"),
-        reset_value=_parse_int(obj.get("reset_value", 0), f"{path}.reset_value"),
-    )
-
-
-def _parse_slave(obj, path: str) -> SlaveSpec:
-    obj = _parse_obj(obj, path)
-    _reject_unknown(obj, ("name", "clock_domain", "base_addr", "registers"), path)
-    regs = _parse_list(_require(obj, "registers", path), f"{path}.registers")
+def _parse_slave(obj: dict, path) -> SlaveSpec:
+    reject_unknown(obj, _SLAVE_KEYS, path)
+    regs = read_list(obj, "registers", path)
     return SlaveSpec(
-        name=_parse_str(_require(obj, "name", path), f"{path}.name"),
-        clock_domain=_parse_str(
-            _require(obj, "clock_domain", path), f"{path}.clock_domain"
-        ),
-        base_addr=_parse_int(_require(obj, "base_addr", path), f"{path}.base_addr"),
-        registers=tuple(
-            _parse_setting(r, f"{path}.registers[{i}]") for i, r in enumerate(regs)
-        ),
+        name=read_str(obj, "name", path),
+        clock_domain=read_str(obj, "clock_domain", path),
+        base_addr=read_int(obj, "base_addr", path),
+        registers=_parse_settings(regs, (path, "registers")),
     )
+
+
+def parse_fragment(obj: dict, path) -> tuple[SettingSpec, ...]:
+    """Read a spec fragment, the register list that replaces a slave's in
+    a module swap; ``path`` is the fragment's, as :mod:`regforge.fields`
+    builds it."""
+    reject_unknown(obj, _FRAGMENT_KEYS, path)
+    return _parse_settings(read_list(obj, "registers", path, []), (path, "registers"))
 
 
 def parse_spec(text: str) -> RegisterMapSpec:
@@ -210,45 +191,34 @@ def parse_spec(text: str) -> RegisterMapSpec:
     Raises :class:`SpecError` with a field path on malformed input; use
     :func:`validate` afterwards for semantic checks.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"syntax error: {exc.msg} (line {exc.lineno})") from None
-    doc = _parse_obj(doc, "$")
-    _reject_unknown(doc, ("name", "bus", "clock_domains", "slaves", "architecture"), "$")
+    doc = load_document(text)
+    reject_unknown(doc, _SPEC_KEYS, ROOT)
 
-    bus_obj = _parse_obj(_require(doc, "bus", "$"), "$.bus")
-    _reject_unknown(bus_obj, ("data_width", "addr_width", "slave_select_bits"), "$.bus")
+    bus_path = (ROOT, "bus")
+    bus_obj = read_obj(doc, "bus", ROOT)
+    reject_unknown(bus_obj, _BUS_KEYS, bus_path)
     bus = BusGeometry(
-        data_width=_parse_int(_require(bus_obj, "data_width", "$.bus"), "$.bus.data_width"),
-        addr_width=_parse_int(_require(bus_obj, "addr_width", "$.bus"), "$.bus.addr_width"),
-        slave_select_bits=_parse_int(
-            _require(bus_obj, "slave_select_bits", "$.bus"), "$.bus.slave_select_bits"
-        ),
+        data_width=read_int(bus_obj, "data_width", bus_path),
+        addr_width=read_int(bus_obj, "addr_width", bus_path),
+        slave_select_bits=read_int(bus_obj, "slave_select_bits", bus_path),
     )
 
     domains = []
-    for i, obj in enumerate(_parse_list(_require(doc, "clock_domains", "$"), "$.clock_domains")):
-        path = f"$.clock_domains[{i}]"
-        obj = _parse_obj(obj, path)
-        _reject_unknown(obj, ("name", "period_ps"), path)
+    for path, obj in objects(read_list(doc, "clock_domains", ROOT), (ROOT, "clock_domains")):
+        reject_unknown(obj, _DOMAIN_KEYS, path)
         domains.append(
-            ClockDomain(
-                name=_parse_str(_require(obj, "name", path), f"{path}.name"),
-                period_ps=_parse_int(_require(obj, "period_ps", path), f"{path}.period_ps"),
-            )
+            ClockDomain(name=read_str(obj, "name", path), period_ps=read_int(obj, "period_ps", path))
         )
 
     slaves = tuple(
-        _parse_slave(obj, f"$.slaves[{i}]")
-        for i, obj in enumerate(_parse_list(_require(doc, "slaves", "$"), "$.slaves"))
+        _parse_slave(obj, path)
+        for path, obj in objects(read_list(doc, "slaves", ROOT), (ROOT, "slaves"))
     )
 
-    arch_obj = _parse_obj(_require(doc, "architecture", "$"), "$.architecture")
-    _reject_unknown(
-        arch_obj, ("topology", "sync_length", "global_depth", "global_width"), "$.architecture"
-    )
-    topology = _parse_str(_require(arch_obj, "topology", "$.architecture"), "$.architecture.topology")
+    arch_path = (ROOT, "architecture")
+    arch_obj = read_obj(doc, "architecture", ROOT)
+    reject_unknown(arch_obj, _ARCH_KEYS, arch_path)
+    topology = read_str(arch_obj, "topology", arch_path)
     if topology not in TOPOLOGIES:
         raise SpecError(
             f"unknown topology {topology!r}, expected one of {', '.join(TOPOLOGIES)}",
@@ -256,13 +226,13 @@ def parse_spec(text: str) -> RegisterMapSpec:
         )
     arch = ArchChoice(
         topology=topology,
-        sync_length=_parse_int(arch_obj.get("sync_length", 2), "$.architecture.sync_length"),
-        global_depth=_parse_int(arch_obj.get("global_depth", 0), "$.architecture.global_depth"),
-        global_width=_parse_int(arch_obj.get("global_width", 0), "$.architecture.global_width"),
+        sync_length=read_int(arch_obj, "sync_length", arch_path, 2),
+        global_depth=read_int(arch_obj, "global_depth", arch_path, 0),
+        global_width=read_int(arch_obj, "global_width", arch_path, 0),
     )
 
     return RegisterMapSpec(
-        name=_parse_str(_require(doc, "name", "$"), "$.name"),
+        name=read_str(doc, "name", ROOT),
         bus=bus,
         clock_domains=tuple(domains),
         slaves=slaves,
@@ -352,72 +322,81 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
 
     seen_domains = set()
     for i, dom in enumerate(spec.clock_domains):
-        path = f"$.clock_domains[{i}]"
         if dom.name in seen_domains:
-            report.add("dup_domain_name", path, f"duplicate clock domain {dom.name!r}")
+            report.add(
+                "dup_domain_name", f"$.clock_domains[{i}]", f"duplicate clock domain {dom.name!r}"
+            )
         seen_domains.add(dom.name)
         if dom.period_ps <= 0:
-            report.add("domain_period", f"{path}.period_ps", "period_ps must be > 0")
+            report.add("domain_period", f"$.clock_domains[{i}].period_ps", "period_ps must be > 0")
 
+    # Paths are formatted only for the diagnostics that are reported.
+    words = [s.words for s in spec.slaves]
     seen_slaves = set()
     for i, slave in enumerate(spec.slaves):
-        path = f"$.slaves[{i}]"
         if slave.name in seen_slaves:
-            report.add("dup_slave_name", path, f"duplicate slave {slave.name!r}")
+            report.add("dup_slave_name", f"$.slaves[{i}]", f"duplicate slave {slave.name!r}")
         seen_slaves.add(slave.name)
         if slave.clock_domain not in seen_domains:
             report.add(
                 "unknown_clock_domain",
-                f"{path}.clock_domain",
+                f"$.slaves[{i}].clock_domain",
                 f"slave {slave.name!r} references undefined clock domain {slave.clock_domain!r}",
             )
         if slave.base_addr < 0:
-            report.add("negative_value", f"{path}.base_addr", "base_addr must be >= 0")
+            report.add("negative_value", f"$.slaves[{i}].base_addr", "base_addr must be >= 0")
 
         seen_offsets = set()
         for j, reg in enumerate(slave.registers):
-            rpath = f"{path}.registers[{j}]"
             if reg.offset < 0:
-                report.add("negative_value", f"{rpath}.offset", "offset must be >= 0")
+                report.add(
+                    "negative_value", f"$.slaves[{i}].registers[{j}].offset", "offset must be >= 0"
+                )
             if reg.offset in seen_offsets:
                 report.add(
-                    "dup_offset", rpath, f"offset {reg.offset} used twice in slave {slave.name!r}"
+                    "dup_offset",
+                    f"$.slaves[{i}].registers[{j}]",
+                    f"offset {reg.offset} used twice in slave {slave.name!r}",
                 )
             seen_offsets.add(reg.offset)
             if reg.width < 1 or (bus.data_width >= 1 and reg.width > bus.data_width):
                 report.add(
                     "setting_width",
-                    f"{rpath}.width",
+                    f"$.slaves[{i}].registers[{j}].width",
                     f"width {reg.width} outside 1..{bus.data_width}",
                 )
             if reg.reset_value < 0 or (reg.width >= 1 and reg.reset_value >= (1 << reg.width)):
                 report.add(
                     "reset_range",
-                    f"{rpath}.reset_value",
+                    f"$.slaves[{i}].registers[{j}].reset_value",
                     f"reset value {reg.reset_value} does not fit in {reg.width} bits",
                 )
 
         if slave.base_addr >= 0 and bus.addr_width >= 1:
-            end = slave.base_addr + slave.words
+            end = slave.base_addr + words[i]
             if end > (1 << bus.addr_width):
                 report.add(
                     "addr_range",
-                    path,
+                    f"$.slaves[{i}]",
                     f"slave {slave.name!r} range [{slave.base_addr}, {end}) exceeds "
                     f"{bus.addr_width}-bit address space",
                 )
 
     ordered = sorted(
-        (s for s in spec.slaves if s.base_addr >= 0 and s.words > 0),
-        key=lambda s: (s.base_addr, s.name),
+        (
+            (slave.base_addr, slave.name, n)
+            for slave, n in zip(spec.slaves, words)
+            if slave.base_addr >= 0 and n > 0
+        ),
+        key=lambda e: (e[0], e[1]),
     )
-    for a, b in zip(ordered, ordered[1:]):
-        if a.base_addr + a.words > b.base_addr:
+    for (a_base, a_name, a_words), (b_base, b_name, _) in zip(ordered, ordered[1:]):
+        if a_base + a_words > b_base:
             report.add(
                 "addr_overlap",
                 "$.slaves",
-                f"slave {a.name!r} words [{a.base_addr}, {a.base_addr + a.words}) "
-                f"overlap slave {b.name!r} at {b.base_addr}",
+                f"slave {a_name!r} words [{a_base}, {a_base + a_words}) "
+                f"overlap slave {b_name!r} at {b_base}",
             )
 
     arch = spec.architecture
@@ -459,5 +438,5 @@ def address_map(spec: RegisterMapSpec) -> list[AddressEntry]:
         for slave in spec.slaves
         for reg in slave.registers
     ]
-    entries.sort(key=lambda e: e.address)
+    entries.sort(key=attrgetter("address"))
     return entries

@@ -1,11 +1,19 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from regforge import cli
 from regforge.cli import main, parse_point, parse_sweep_range
 from regforge.errors import SpecError
 
 from conftest import make_spec_doc
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -217,3 +225,66 @@ def test_parse_sweep_range_forms():
     assert parse_sweep_range("S=1;2;4") == ("S", [1, 2, 4])
     with pytest.raises(SpecError):
         parse_sweep_range("w=1:2:1")
+
+
+def test_sweep_writes_each_distributed_row_once(tmp_path):
+    csv = tmp_path / "sweep.csv"
+    code = main(["sweep", "--point", "topology=distributed,N_t=4,S=1",
+                 "--topologies", "distributed",
+                 "--sweep", "D=0;64;512", "--sweep", "W=0;8;16",
+                 "--sweep", "N_t=4;8", "--csv", str(csv)])
+    assert code == 0
+    rows = [r.split(",") for r in csv.read_text().strip().splitlines()[1:]]
+    assert [r[:4] for r in rows] == [["distributed", "0", "0", "4"],
+                                     ["distributed", "0", "0", "8"]]
+
+
+SWEEPS = [
+    ["sweep", "--point", "topology=global,D=256,W=32,N_t=8",
+     "--topologies", "global,distributed", "--sweep", "N_t=8;16", "--sweep", "S=1;2"],
+    ["sweep", "--point", "topology=distributed,N_t=4,w=8"],
+]
+
+
+def test_main_reuses_parser_without_leaking_state(monkeypatch, capsys):
+    fresh = []
+    for argv in SWEEPS:
+        proc = subprocess.run([sys.executable, "-m", "regforge.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        fresh.append(proc.stdout)
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        outputs = []
+        for argv in SWEEPS + SWEEPS[::-1]:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert outputs == fresh + fresh[::-1]
+
+
+def test_compile_encodes_model_once(tmp_path, spec_file, monkeypatch):
+    calls = []
+
+    class CountingJson:
+        @staticmethod
+        def dumps(*args, **kwargs):
+            calls.append(kwargs)
+            return json.dumps(*args, **kwargs)
+
+    # regforge.elaborate is also the name of a function in the package
+    monkeypatch.setattr(importlib.import_module("regforge.elaborate"), "json", CountingJson)
+    assert main(["compile", "--spec", str(spec_file), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [{"indent": 2}]

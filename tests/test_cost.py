@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -123,6 +124,22 @@ def test_point_field_below_bound_raises(name):
     with pytest.raises(SpecError, match=f"^point field {name} must be >= {low}, got {low - 1}$"):
         DesignPoint.named("distributed", **{attr: low - 1})
     assert getattr(DesignPoint.named("distributed", **{attr: low}), attr) == low
+
+
+def test_unknown_topology_raises():
+    message = (r"^point topology must be one of global, global_registered, global_cdc_dest, "
+               r"distributed, got 'bogus'$")
+    with pytest.raises(SpecError, match=message):
+        DesignPoint("bogus", depth=8, width=8, targets=2, target_width=4)
+    with pytest.raises(SpecError, match=message):
+        DesignPoint.named("bogus", targets=2)
+
+
+def test_calibration_json_rejects_unknown_topology(cal):
+    doc = json.loads(calibration_to_json(cal))
+    doc["corpus"][0]["point"]["topology"] = "distrbuted"
+    with pytest.raises(SpecError, match="got 'distrbuted'$"):
+        calibration_from_json(json.dumps(doc))
 
 
 def test_estimate_computes_each_term_once(cal, monkeypatch):

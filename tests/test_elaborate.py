@@ -12,7 +12,7 @@ from regforge import (
     structural_counts,
 )
 from regforge.elaborate import global_word_map
-from regforge.spec import address_map, parse_spec, validate
+from regforge.spec import RegisterMapSpec, address_map, parse_spec, validate
 
 from conftest import make_spec
 from test_spec import spec_docs
@@ -145,8 +145,8 @@ def test_wire_endpoints_exist():
 def test_conservation_each_setting_has_one_storage_slot():
     spec = make_spec(n_slaves=2, regs_per_slave=4, topology="global",
                      global_depth=16, global_width=32, addr_width=8)
-    word_of = global_word_map(spec)
     entries = address_map(spec)
+    word_of = global_word_map(entries)
     assert len(word_of) == len(entries)
     assert sorted(word_of.values()) == list(range(len(entries)))
 
@@ -180,3 +180,19 @@ def test_capacity_errors(reg_width, depth, mem_width, message):
     with pytest.raises(CapacityError) as err:
         elaborate_global(spec, ElaborationOptions())
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("topology", ["distributed", "global_cdc_dest"])
+def test_elaborate_sums_total_words_once(topology, monkeypatch):
+    spec = make_spec(n_slaves=16, regs_per_slave=2, topology=topology, addr_width=8,
+                     global_depth=32, global_width=32)
+    calls = []
+    total_words = RegisterMapSpec.total_words.fget
+
+    def counting(self):
+        calls.append(self)
+        return total_words(self)
+
+    monkeypatch.setattr(RegisterMapSpec, "total_words", property(counting))
+    elaborate(spec)
+    assert calls == [spec]

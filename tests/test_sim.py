@@ -117,11 +117,20 @@ def test_rebuild_same_inputs_same_state_hash():
     assert _sim(spec).state_hash() == _sim(spec).state_hash()
 
 
+def _overlapping_global(doc):
+    doc["architecture"].update(topology="global", global_depth=8, global_width=32)
+    doc["slaves"][1]["base_addr"] = 2
+
+
 @pytest.mark.parametrize(
     "break_doc, message",
     [
         (lambda doc: doc["slaves"][0].update(clock_domain="nowhere"), "unknown clock domain"),
         (lambda doc: doc["clock_domains"][1].update(period_ps=0), "non-positive"),
+        (lambda doc: doc["slaves"][1].update(base_addr=0),
+         "^address 0 decodes to both slave 'slave0' and slave 'slave1'$"),
+        (_overlapping_global,
+         "^address 2 decodes to both slave 'slave0' and slave 'slave1'$"),
     ],
 )
 def test_build_sim_on_unvalidated_spec_raises_sim_error(break_doc, message):
