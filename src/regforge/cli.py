@@ -171,9 +171,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if total == 0 else EXIT_INVALID
 
 
+def _points(args, count: int) -> list[cost.DesignPoint]:
+    """Parse the ``--point`` arguments, which must number exactly ``count``."""
+    if len(args.point) != count:
+        raise SpecError(
+            f"{args.command} needs exactly {count} --point argument(s), got {len(args.point)}"
+        )
+    return [parse_point(text) for text in args.point]
+
+
 def cmd_estimate(args) -> int:
+    (point,) = _points(args, 1)
     cal = _load_calibration(args.calibration)
-    point = parse_point(args.point[0])
     est = cost.estimate(point, cal)
     print(f"topology:  {point.topology}")
     print(f"registers: {est.registers}")
@@ -184,8 +193,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    (base,) = _points(args, 1)
     cal = _load_calibration(args.calibration)
-    base = parse_point(args.point[0])
     ranges = dict(parse_sweep_range(r) for r in args.sweep or [])
     topologies = (
         [t.strip() for t in args.topologies.split(",") if t.strip()]
@@ -220,12 +229,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if len(args.point) != 2:
-        print("error: compare needs exactly two --point arguments", file=sys.stderr)
-        return EXIT_INVALID
+    point_a, point_b = _points(args, 2)
     cal = _load_calibration(args.calibration)
-    point_a = parse_point(args.point[0])
-    point_b = parse_point(args.point[1])
     report = cost.compare(point_a, point_b, cal)
     print(report.as_text())
     return EXIT_OK

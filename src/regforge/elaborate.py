@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import ClassVar, Union
 
@@ -124,21 +124,15 @@ class DesignModel:
 
     @cached_property
     def _json(self) -> str:
-        items = []
-        for el in sorted(self.elements, key=lambda e: (e.kind, e.name)):
-            entry = {"kind": el.kind, "name": el.name}
-            for fname in ("bits", "clock_domain", "inputs", "terms", "width", "ways",
-                          "length", "source", "sink"):
-                if hasattr(el, fname):
-                    entry[fname] = getattr(el, fname)
-            items.append(entry)
+        # An element's instance dict holds exactly its dataclass fields, in
+        # declaration (and so emitted key) order, and reads faster than fields().
+        items = [
+            {"kind": el.kind, **vars(el)}
+            for el in sorted(self.elements, key=lambda e: (e.kind, e.name))
+        ]
         doc = {
             "topology": self.topology,
-            "options": {
-                "output_registered": self.options.output_registered,
-                "cdc": self.options.cdc,
-                "dest_registers": self.options.dest_registers,
-            },
+            "options": asdict(self.options),
             "sync_length": self.sync_length,
             "elements": items,
             "slave_elements": {k: list(v) for k, v in sorted(self.slave_elements.items())},

@@ -10,11 +10,14 @@ Distributed slaves expose the configuration-bus port set
 ``busy`` input from the functional logic.  Centralized designs expose
 wide per-slave setting buses from the memory stage, with optional
 synchronizer and destination register stages inside each slave.
+Each construct several files share has one writer below, and every
+identifier comes from one :func:`_names` record per emission.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .elaborate import DesignModel, global_word_map
 from .errors import EmitError
@@ -22,6 +25,7 @@ from .sim import ProgramScript, Simulation
 from .spec import GLOBAL_TOPOLOGIES, RegisterMapSpec, SettingSpec, SlaveSpec, address_map
 
 _INDENT = "    "
+_NON_IDENT = re.compile(r"[^a-z0-9_]")
 
 
 def sanitize_names(names: list[str]) -> dict[str, str]:
@@ -29,7 +33,7 @@ def sanitize_names(names: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     used: set[str] = set()
     for name in names:
-        ident = re.sub(r"[^a-z0-9_]", "_", name.lower())
+        ident = _NON_IDENT.sub("_", name.lower())
         if not ident or ident[0].isdigit():
             ident = "x" + ident
         candidate = ident
@@ -54,49 +58,118 @@ def _header(spec: RegisterMapSpec, model: DesignModel) -> str:
     )
 
 
-# Per slave: its settings in offset order and their sanitized identifiers.
-_SlaveRegs = dict[str, tuple[list[SettingSpec], dict[str, str]]]
+class _Slave(NamedTuple):
+    ident: str
+    module: str
+    # (setting, identifier) in offset order
+    settings: list[tuple[SettingSpec, str]]
 
 
-def _slave_regs(spec: RegisterMapSpec) -> _SlaveRegs:
-    out: _SlaveRegs = {}
+class _Names(NamedTuple):
+    """Every identifier of one emission, sanitized once by :func:`_names`."""
+
+    design: str
+    top: str
+    domains: dict[str, str]
+    cfg_clk: str
+    slaves: dict[str, _Slave]
+
+
+def _names(spec: RegisterMapSpec) -> _Names:
+    design = sanitize_names([spec.name])[spec.name]
+    domains = sanitize_names([d.name for d in spec.clock_domains])
+    idents = sanitize_names([s.name for s in spec.slaves])
+    slaves = {}
     for slave in spec.slaves:
         regs = sorted(slave.registers, key=lambda r: r.offset)
-        out[slave.name] = (regs, sanitize_names([r.name for r in regs]))
-    return out
+        reg_idents = sanitize_names([r.name for r in regs])
+        ident = idents[slave.name]
+        slaves[slave.name] = _Slave(
+            ident, f"{design}_{ident}", [(r, reg_idents[r.name]) for r in regs]
+        )
+    cfg_clk = domains[spec.clock_domains[0].name]
+    return _Names(design, f"{design}_top", domains, cfg_clk, slaves)
 
 
-def _distributed_slave(spec: RegisterMapSpec, header: str, slave: SlaveSpec,
-                       module_name: str, regs: list[SettingSpec],
-                       idents: dict[str, str]) -> str:
+def _module(header: str, name: str, ports: list[str]) -> list[str]:
+    """Banner, module name, one port per line, then a blank line."""
+    return [header, f"module {name} (", ",\n".join(_INDENT + p for p in ports), ");", ""]
+
+
+def _endmodule(lines: list[str]) -> str:
+    lines.append("endmodule")
+    return "\n".join(lines) + "\n"
+
+
+def _instance(module: str, name: str, conns: list[str]) -> list[str]:
+    """A named-port instance followed by a blank line."""
+    return [
+        f"{_INDENT}{module} {name} (",
+        ",\n".join(_INDENT * 2 + c for c in conns),
+        f"{_INDENT});",
+        "",
+    ]
+
+
+def _slave_instance(slave: _Slave, conns: list[str]) -> list[str]:
+    """A slave's instance in a top: ``conns``, then one per setting."""
+    conns = conns + [f".cfg_{reg}({slave.ident}_cfg_{reg})" for _, reg in slave.settings]
+    return _instance(slave.module, f"u_{slave.ident}", conns)
+
+
+def _slice(net: str, whole: bool, width: int, lsb: int = 0) -> str:
+    """``net`` itself when ``whole``, else its ``width`` bits from ``lsb``."""
+    if whole:
+        return net
+    if width > 1:
+        return f"{net}[{lsb + width - 1}:{lsb}]"
+    return f"{net}[{lsb}]"
+
+
+def _bus_ports(spec: RegisterMapSpec) -> list[str]:
+    """The host-bus inputs of the tops and the distributed slaves."""
     bus = spec.bus
-    sync_len = spec.architecture.sync_length
-
-    ports = [
-        "input  logic cfg_clk",
+    return [
         "input  logic cfg_rst_n",
         f"input  logic {_range(bus.addr_width)}cfg_addr",
         f"input  logic {_range(bus.data_width)}cfg_wdata",
         "input  logic cfg_write",
-        "input  logic cfg_sel",
-        "output logic ready",
-        "input  logic busy",
     ]
-    ports += [f"output logic {_range(r.width)}cfg_{idents[r.name]}" for r in regs]
 
-    lines = [header]
-    lines.append(f"module {module_name} (")
-    lines.append(",\n".join(_INDENT + p for p in ports))
-    lines.append(");")
-    lines.append("")
-    for r in regs:
-        lines.append(f"{_INDENT}logic {_range(r.width)}{idents[r.name]}_q;")
+
+def _setting_ports(slave: _Slave, prefix: str) -> list[str]:
+    return [f"output logic {_range(r.width)}{prefix}cfg_{reg}" for r, reg in slave.settings]
+
+
+def _top_ports(spec: RegisterMapSpec, names: _Names, handshake: bool) -> list[str]:
+    """Clocks, the host bus, then per slave its ``busy``/``ready`` pair
+    (distributed only) and its settings."""
+    ports = [f"input  logic {names.domains[d.name]}" for d in spec.clock_domains]
+    ports += _bus_ports(spec)
+    for slave in spec.slaves:
+        s = names.slaves[slave.name]
+        if handshake:
+            ports += [f"input  logic {s.ident}_busy", f"output logic {s.ident}_ready"]
+        ports += _setting_ports(s, f"{s.ident}_")
+    return ports
+
+
+def _distributed_slave(spec: RegisterMapSpec, header: str, slave: SlaveSpec,
+                       ids: _Slave) -> str:
+    bus = spec.bus
+    sync_len = spec.architecture.sync_length
+
+    ports = ["input  logic cfg_clk", *_bus_ports(spec), "input  logic cfg_sel",
+             "output logic ready", "input  logic busy", *_setting_ports(ids, "")]
+    lines = _module(header, ids.module, ports)
+    for r, reg in ids.settings:
+        lines.append(f"{_INDENT}logic {_range(r.width)}{reg}_q;")
     lines.append(f"{_INDENT}logic {_range(sync_len)}busy_sync;")
     lines.append("")
     lines.append(f"{_INDENT}always_ff @(posedge cfg_clk or negedge cfg_rst_n) begin")
     lines.append(f"{_INDENT * 2}if (!cfg_rst_n) begin")
-    for r in regs:
-        lines.append(f"{_INDENT * 3}{idents[r.name]}_q <= {r.width}'d{r.reset_value};")
+    for r, reg in ids.settings:
+        lines.append(f"{_INDENT * 3}{reg}_q <= {r.width}'d{r.reset_value};")
     lines.append(f"{_INDENT * 3}busy_sync <= '0;")
     lines.append(f"{_INDENT * 3}ready <= 1'b0;")
     lines.append(f"{_INDENT * 2}end else begin")
@@ -106,20 +179,14 @@ def _distributed_slave(spec: RegisterMapSpec, header: str, slave: SlaveSpec,
     else:
         lines.append(f"{_INDENT * 3}busy_sync <= busy;")
         lines.append(f"{_INDENT * 3}ready <= ~busy_sync;")
-    if regs:
+    if ids.settings:
         lines.append(f"{_INDENT * 3}if (cfg_write && cfg_sel && ready) begin")
         lines.append(f"{_INDENT * 4}case (cfg_addr)")
-        for r in regs:
-            addr = slave.base_addr + r.offset
-            if r.width == bus.data_width:
-                wdata = "cfg_wdata"
-            elif r.width > 1:
-                wdata = f"cfg_wdata[{r.width - 1}:0]"
-            else:
-                wdata = "cfg_wdata[0]"
+        for r, reg in ids.settings:
+            wdata = _slice("cfg_wdata", r.width == bus.data_width, r.width)
             lines.append(
-                f"{_INDENT * 5}{bus.addr_width}'d{addr}: "
-                f"{idents[r.name]}_q <= {wdata};"
+                f"{_INDENT * 5}{bus.addr_width}'d{slave.base_addr + r.offset}: "
+                f"{reg}_q <= {wdata};"
             )
         lines.append(f"{_INDENT * 5}default: ;")
         lines.append(f"{_INDENT * 4}endcase")
@@ -127,30 +194,21 @@ def _distributed_slave(spec: RegisterMapSpec, header: str, slave: SlaveSpec,
     lines.append(f"{_INDENT * 2}end")
     lines.append(f"{_INDENT}end")
     lines.append("")
-    for r in regs:
-        lines.append(f"{_INDENT}assign cfg_{idents[r.name]} = {idents[r.name]}_q;")
+    for _, reg in ids.settings:
+        lines.append(f"{_INDENT}assign cfg_{reg} = {reg}_q;")
     lines.append("")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+    return _endmodule(lines)
 
 
 def _global_slave(spec: RegisterMapSpec, model: DesignModel, header: str,
-                  slave: SlaveSpec, module_name: str, regs: list[SettingSpec],
-                  idents: dict[str, str]) -> str:
+                  slave: SlaveSpec, ids: _Slave) -> str:
     bits = slave.setting_bits
     opts = model.options
     sync_len = spec.architecture.sync_length
 
     ports = ["input  logic clk", f"input  logic {_range(bits)}settings_in"]
-    ports += [f"output logic {_range(r.width)}cfg_{idents[r.name]}" for r in regs]
-
-    lines = [header]
-    lines.append(f"module {module_name} (")
-    lines.append(",\n".join(_INDENT + p for p in ports))
-    lines.append(");")
-    lines.append("")
+    lines = _module(header, ids.module, ports + _setting_ports(ids, ""))
     source = "settings_in"
-    scalar_bus = bits == 1
     if opts.cdc:
         for stage in range(sync_len):
             lines.append(f"{_INDENT}logic {_range(bits)}sync_{stage};")
@@ -171,50 +229,19 @@ def _global_slave(spec: RegisterMapSpec, model: DesignModel, header: str,
         lines.append("")
         source = "dest_q"
     lsb = 0
-    for r in regs:
-        if scalar_bus:
-            slice_expr = source
-        elif r.width > 1:
-            slice_expr = f"{source}[{lsb + r.width - 1}:{lsb}]"
-        else:
-            slice_expr = f"{source}[{lsb}]"
-        lines.append(f"{_INDENT}assign cfg_{idents[r.name]} = {slice_expr};")
+    for r, reg in ids.settings:
+        part = _slice(source, bits == 1, r.width, lsb)
+        lines.append(f"{_INDENT}assign cfg_{reg} = {part};")
         lsb += r.width
     lines.append("")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+    return _endmodule(lines)
 
 
-def _distributed_top(spec: RegisterMapSpec, header: str, top_name: str,
-                     slave_modules: dict[str, str], slave_idents: dict[str, str],
-                     slave_regs: _SlaveRegs) -> str:
+def _distributed_top(spec: RegisterMapSpec, header: str, names: _Names) -> str:
     bus = spec.bus
-    domains = sanitize_names([d.name for d in spec.clock_domains])
-
-    ports = [f"input  logic {domains[d.name]}" for d in spec.clock_domains]
-    ports += [
-        "input  logic cfg_rst_n",
-        f"input  logic {_range(bus.addr_width)}cfg_addr",
-        f"input  logic {_range(bus.data_width)}cfg_wdata",
-        "input  logic cfg_write",
-    ]
+    lines = _module(header, names.top, _top_ports(spec, names, handshake=True))
     for slave in spec.slaves:
-        ident = slave_idents[slave.name]
-        ports.append(f"input  logic {ident}_busy")
-        ports.append(f"output logic {ident}_ready")
-        regs, reg_idents = slave_regs[slave.name]
-        ports += [
-            f"output logic {_range(r.width)}{ident}_cfg_{reg_idents[r.name]}" for r in regs
-        ]
-
-    cfg_clk = domains[spec.clock_domains[0].name]
-    lines = [header]
-    lines.append(f"module {top_name} (")
-    lines.append(",\n".join(_INDENT + p for p in ports))
-    lines.append(");")
-    lines.append("")
-    for slave in spec.slaves:
-        ident = slave_idents[slave.name]
+        ident = names.slaves[slave.name].ident
         lo = slave.base_addr
         hi = slave.base_addr + slave.words
         lines.append(f"{_INDENT}logic {ident}_sel;")
@@ -224,59 +251,29 @@ def _distributed_top(spec: RegisterMapSpec, header: str, top_name: str,
         )
     lines.append("")
     for slave in spec.slaves:
-        ident = slave_idents[slave.name]
-        regs, reg_idents = slave_regs[slave.name]
-        lines.append(f"{_INDENT}{slave_modules[slave.name]} u_{ident} (")
-        conns = [
-            f".cfg_clk({cfg_clk})",
+        s = names.slaves[slave.name]
+        lines += _slave_instance(s, [
+            f".cfg_clk({names.cfg_clk})",
             ".cfg_rst_n(cfg_rst_n)",
             ".cfg_addr(cfg_addr)",
             ".cfg_wdata(cfg_wdata)",
             ".cfg_write(cfg_write)",
-            f".cfg_sel({ident}_sel)",
-            f".ready({ident}_ready)",
-            f".busy({ident}_busy)",
-        ]
-        conns += [
-            f".cfg_{reg_idents[r.name]}({ident}_cfg_{reg_idents[r.name]})" for r in regs
-        ]
-        lines.append(",\n".join(_INDENT * 2 + c for c in conns))
-        lines.append(f"{_INDENT});")
-        lines.append("")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+            f".cfg_sel({s.ident}_sel)",
+            f".ready({s.ident}_ready)",
+            f".busy({s.ident}_busy)",
+        ])
+    return _endmodule(lines)
 
 
-def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str, top_name: str,
-                slave_modules: dict[str, str], slave_idents: dict[str, str],
-                slave_regs: _SlaveRegs) -> str:
+def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str,
+                names: _Names) -> str:
     bus = spec.bus
     arch = spec.architecture
     opts = model.options
     depth, width = arch.global_depth, arch.global_width
-    domains = sanitize_names([d.name for d in spec.clock_domains])
-    cfg_clk = domains[spec.clock_domains[0].name]
     word_of = global_word_map(address_map(spec))
 
-    ports = [f"input  logic {domains[d.name]}" for d in spec.clock_domains]
-    ports += [
-        "input  logic cfg_rst_n",
-        f"input  logic {_range(bus.addr_width)}cfg_addr",
-        f"input  logic {_range(bus.data_width)}cfg_wdata",
-        "input  logic cfg_write",
-    ]
-    for slave in spec.slaves:
-        ident = slave_idents[slave.name]
-        regs, reg_idents = slave_regs[slave.name]
-        ports += [
-            f"output logic {_range(r.width)}{ident}_cfg_{reg_idents[r.name]}" for r in regs
-        ]
-
-    lines = [header]
-    lines.append(f"module {top_name} (")
-    lines.append(",\n".join(_INDENT + p for p in ports))
-    lines.append(");")
-    lines.append("")
+    lines = _module(header, names.top, _top_ports(spec, names, handshake=False))
     lines.append(f"{_INDENT}logic {_range(width)}mem [{depth}];")
     stage = "mem"
     lines.append("")
@@ -293,7 +290,7 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str, top_name
     lines.append(f"{_INDENT}end")
     lines.append("")
     wdata = "cfg_wdata" if width == bus.data_width else f"{width}'(cfg_wdata)"
-    lines.append(f"{_INDENT}always_ff @(posedge {cfg_clk}) begin")
+    lines.append(f"{_INDENT}always_ff @(posedge {names.cfg_clk}) begin")
     lines.append(f"{_INDENT * 2}if (cfg_write) begin")
     lines.append(f"{_INDENT * 3}case (cfg_addr)")
     for addr in sorted(word_of):
@@ -308,7 +305,7 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str, top_name
     lines.append("")
     if opts.output_registered:
         lines.append(f"{_INDENT}logic {_range(width)}mem_out [{depth}];")
-        lines.append(f"{_INDENT}always_ff @(posedge {cfg_clk}) begin")
+        lines.append(f"{_INDENT}always_ff @(posedge {names.cfg_clk}) begin")
         lines.append(f"{_INDENT * 2}for (int i = 0; i < {depth}; i++) mem_out[i] <= mem[i];")
         lines.append(f"{_INDENT}end")
         lines.append("")
@@ -318,36 +315,21 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str, top_name
     for slave in spec.slaves:
         if not slave.registers:
             continue
-        ident = slave_idents[slave.name]
-        regs = slave_regs[slave.name][0]
+        s = names.slaves[slave.name]
         parts = []
-        for r in reversed(regs):
-            word = word_of[slave.base_addr + r.offset]
-            if r.width == width:
-                parts.append(f"{stage}[{word}]")
-            elif r.width > 1:
-                parts.append(f"{stage}[{word}][{r.width - 1}:0]")
-            else:
-                parts.append(f"{stage}[{word}][0]")
-        lines.append(f"{_INDENT}logic {_range(slave.setting_bits)}{ident}_bundle;")
-        lines.append(f"{_INDENT}assign {ident}_bundle = {{{', '.join(parts)}}};")
+        for r, _ in reversed(s.settings):
+            word = f"{stage}[{word_of[slave.base_addr + r.offset]}]"
+            parts.append(_slice(word, r.width == width, r.width))
+        lines.append(f"{_INDENT}logic {_range(slave.setting_bits)}{s.ident}_bundle;")
+        lines.append(f"{_INDENT}assign {s.ident}_bundle = {{{', '.join(parts)}}};")
         lines.append("")
     for slave in spec.slaves:
         if not slave.registers:
             continue
-        ident = slave_idents[slave.name]
-        regs, reg_idents = slave_regs[slave.name]
-        clk = domains[slave.clock_domain]
-        lines.append(f"{_INDENT}{slave_modules[slave.name]} u_{ident} (")
-        conns = [f".clk({clk})", f".settings_in({ident}_bundle)"]
-        conns += [
-            f".cfg_{reg_idents[r.name]}({ident}_cfg_{reg_idents[r.name]})" for r in regs
-        ]
-        lines.append(",\n".join(_INDENT * 2 + c for c in conns))
-        lines.append(f"{_INDENT});")
-        lines.append("")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+        s = names.slaves[slave.name]
+        clk = names.domains[slave.clock_domain]
+        lines += _slave_instance(s, [f".clk({clk})", f".settings_in({s.ident}_bundle)"])
+    return _endmodule(lines)
 
 
 def emit(model: DesignModel, spec: RegisterMapSpec) -> dict[str, str]:
@@ -356,33 +338,19 @@ def emit(model: DesignModel, spec: RegisterMapSpec) -> dict[str, str]:
     if topology not in ("distributed",) + GLOBAL_TOPOLOGIES:
         raise EmitError(f"unsupported topology {topology!r}")
 
-    design = sanitize_names([spec.name])[spec.name]
-    slave_idents = sanitize_names([s.name for s in spec.slaves])
-    slave_modules = {
-        name: f"{design}_{ident}" for name, ident in slave_idents.items()
-    }
-    top_name = f"{design}_top"
+    names = _names(spec)
     header = _header(spec, model)
-    slave_regs = _slave_regs(spec)
-
     files: dict[str, str] = {}
     if topology == "distributed":
-        files[f"{top_name}.sv"] = _distributed_top(
-            spec, header, top_name, slave_modules, slave_idents, slave_regs
-        )
+        files[f"{names.top}.sv"] = _distributed_top(spec, header, names)
         for slave in spec.slaves:
-            files[f"{slave_modules[slave.name]}.sv"] = _distributed_slave(
-                spec, header, slave, slave_modules[slave.name], *slave_regs[slave.name]
-            )
+            s = names.slaves[slave.name]
+            files[f"{s.module}.sv"] = _distributed_slave(spec, header, slave, s)
     else:
-        files[f"{top_name}.sv"] = _global_top(
-            spec, model, header, top_name, slave_modules, slave_idents, slave_regs
-        )
+        files[f"{names.top}.sv"] = _global_top(spec, model, header, names)
         for slave in spec.slaves:
-            files[f"{slave_modules[slave.name]}.sv"] = _global_slave(
-                spec, model, header, slave, slave_modules[slave.name],
-                *slave_regs[slave.name]
-            )
+            s = names.slaves[slave.name]
+            files[f"{s.module}.sv"] = _global_slave(spec, model, header, slave, s)
     return files
 
 
@@ -409,30 +377,26 @@ def emit_testbench(model: DesignModel, spec: RegisterMapSpec, script: ProgramScr
     sim = Simulation(model, spec)
     sim.run(script, horizon)
 
-    design = sanitize_names([spec.name])[spec.name]
-    slave_idents = sanitize_names([s.name for s in spec.slaves])
-    domains = sanitize_names([d.name for d in spec.clock_domains])
-
+    names = _names(spec)
+    domains, cfg_clk = names.domains, names.cfg_clk
     lines = [_header(spec, model)]
     lines.append("`timescale 1ps/1ps")
     lines.append("")
-    lines.append(f"module {design}_tb;")
+    lines.append(f"module {names.design}_tb;")
     for d in spec.clock_domains:
         lines.append(f"{_INDENT}logic {domains[d.name]} = 1'b0;")
         lines.append(
             f"{_INDENT}always #({d.period_ps // 2}) {domains[d.name]} = ~{domains[d.name]};"
         )
-    cfg_clk = domains[spec.clock_domains[0].name]
     lines.append(f"{_INDENT}logic cfg_rst_n = 1'b0;")
     lines.append(f"{_INDENT}logic {_range(bus.addr_width)}cfg_addr = '0;")
     lines.append(f"{_INDENT}logic {_range(bus.data_width)}cfg_wdata = '0;")
     lines.append(f"{_INDENT}logic cfg_write = 1'b0;")
-    for slave in spec.slaves:
-        ident = slave_idents[slave.name]
+    idents = [names.slaves[slave.name].ident for slave in spec.slaves]
+    for ident in idents:
         lines.append(f"{_INDENT}logic {ident}_busy = 1'b0;")
         lines.append(f"{_INDENT}logic {ident}_ready;")
     lines.append("")
-    lines.append(f"{_INDENT}{design}_top dut (")
     conns = [f".{domains[d.name]}({domains[d.name]})" for d in spec.clock_domains]
     conns += [
         ".cfg_rst_n(cfg_rst_n)",
@@ -440,27 +404,19 @@ def emit_testbench(model: DesignModel, spec: RegisterMapSpec, script: ProgramScr
         ".cfg_wdata(cfg_wdata)",
         ".cfg_write(cfg_write)",
     ]
-    for slave in spec.slaves:
-        ident = slave_idents[slave.name]
-        conns.append(f".{ident}_busy({ident}_busy)")
-        conns.append(f".{ident}_ready({ident}_ready)")
-    lines.append(",\n".join(_INDENT * 2 + c for c in conns))
-    lines.append(f"{_INDENT});")
-    lines.append("")
+    for ident in idents:
+        conns += [f".{ident}_busy({ident}_busy)", f".{ident}_ready({ident}_ready)"]
+    lines += _instance(names.top, "dut", conns)
 
     for i, window in enumerate(script.busy_windows):
-        ident = slave_idents[window.slave]
+        ident = names.slaves[window.slave].ident
         lines.append(f"{_INDENT}initial begin : busy_window_{i}")
         lines.append(f"{_INDENT * 2}#{window.start_ps} {ident}_busy = 1'b1;")
         lines.append(f"{_INDENT * 2}#{window.end_ps - window.start_ps} {ident}_busy = 1'b0;")
         lines.append(f"{_INDENT}end")
         lines.append("")
 
-    decode = {}
-    for slave in spec.slaves:
-        for r in slave.registers:
-            decode[slave.base_addr + r.offset] = slave.name
-
+    decode = {entry.address: entry.slave for entry in address_map(spec)}
     lines.append(f"{_INDENT}initial begin")
     lines.append(f"{_INDENT * 2}repeat (2) @(posedge {cfg_clk});")
     lines.append(f"{_INDENT * 2}cfg_rst_n = 1'b1;")
@@ -474,22 +430,18 @@ def emit_testbench(model: DesignModel, spec: RegisterMapSpec, script: ProgramScr
         lines.append(f"{_INDENT * 2}cfg_addr = {bus.addr_width}'d{write.addr};")
         lines.append(f"{_INDENT * 2}cfg_wdata = {bus.data_width}'d{write.data};")
         lines.append(f"{_INDENT * 2}cfg_write = 1'b1;")
+        lines.append(f"{_INDENT * 2}@(posedge {cfg_clk});")
         if target is not None:
-            ready = f"{slave_idents[target]}_ready"
-            lines.append(f"{_INDENT * 2}@(posedge {cfg_clk});")
+            ready = f"{names.slaves[target].ident}_ready"
             lines.append(f"{_INDENT * 2}while (!{ready}) @(posedge {cfg_clk});")
-        else:
-            lines.append(f"{_INDENT * 2}@(posedge {cfg_clk});")
         lines.append(f"{_INDENT * 2}cfg_write = 1'b0;")
     lines.append(f"{_INDENT * 2}#{horizon};")
     checks = 0
-    slave_regs = _slave_regs(spec)
     for slave in spec.slaves:
-        ident = slave_idents[slave.name]
-        regs, reg_idents = slave_regs[slave.name]
-        for r in regs:
+        s = names.slaves[slave.name]
+        for r, reg in s.settings:
             expected = sim.backdoor_read(slave.name, r.offset)
-            path = f"dut.u_{ident}.{reg_idents[r.name]}_q"
+            path = f"dut.u_{s.ident}.{reg}_q"
             lines.append(
                 f"{_INDENT * 2}if ({path} !== {r.width}'d{expected}) "
                 f'$fatal(1, "mismatch: {path}");'
@@ -499,5 +451,4 @@ def emit_testbench(model: DesignModel, spec: RegisterMapSpec, script: ProgramScr
     lines.append(f"{_INDENT * 2}$finish;")
     lines.append(f"{_INDENT}end")
     lines.append("")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+    return _endmodule(lines)

@@ -201,6 +201,8 @@ class Simulation:
         for d in spec.clock_domains:
             if d.period_ps <= 0:
                 raise SimError(f"clock domain {d.name!r} has non-positive period {d.period_ps}")
+        if self.sync_length < 1:
+            raise SimError(f"sync_length {self.sync_length} must be >= 1")
         domain_index = {d.name: i for i, d in enumerate(spec.clock_domains)}
         for s in spec.slaves:
             if s.clock_domain not in domain_index:
@@ -531,18 +533,18 @@ class Simulation:
             return refuse("in_flight")
 
         base = self._base[sidx]
-        limit = 1 << self.spec.bus.addr_width
-        for other, other_base in enumerate(self._base):
-            if other != sidx and other_base > base:
-                limit = min(limit, other_base)
+        limit = min((b for i, b in enumerate(self._base) if i != sidx and b > base),
+                    default=None)
         seen = set()
         for reg in registers:
+            # no 1 << width: a width can be too large to shift by
             if (
                 reg.offset < 0
                 or reg.offset in seen
                 or not (1 <= reg.width <= self.spec.bus.data_width)
-                or not (0 <= reg.reset_value < (1 << reg.width))
-                or base + reg.offset >= limit
+                or not (0 <= reg.reset_value and reg.reset_value.bit_length() <= reg.width)
+                or (base + reg.offset) >> self.spec.bus.addr_width > 0
+                or (limit is not None and base + reg.offset >= limit)
             ):
                 return refuse("bad_fragment")
             seen.add(reg.offset)

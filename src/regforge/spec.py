@@ -14,7 +14,7 @@ hex strings.  Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -243,44 +243,11 @@ def parse_spec(text: str) -> RegisterMapSpec:
 def serialize(spec: RegisterMapSpec) -> str:
     """Render a spec back to its canonical JSON form.
 
-    Canonical form uses schema key order, decimal integers, and two-space
-    indentation; ``parse_spec(serialize(s)) == s`` for any valid spec.
+    Canonical form uses schema key order (the dataclass field order),
+    decimal integers, and two-space indentation;
+    ``parse_spec(serialize(s)) == s`` for any valid spec.
     """
-    doc = {
-        "name": spec.name,
-        "bus": {
-            "data_width": spec.bus.data_width,
-            "addr_width": spec.bus.addr_width,
-            "slave_select_bits": spec.bus.slave_select_bits,
-        },
-        "clock_domains": [
-            {"name": d.name, "period_ps": d.period_ps} for d in spec.clock_domains
-        ],
-        "slaves": [
-            {
-                "name": s.name,
-                "clock_domain": s.clock_domain,
-                "base_addr": s.base_addr,
-                "registers": [
-                    {
-                        "name": r.name,
-                        "offset": r.offset,
-                        "width": r.width,
-                        "reset_value": r.reset_value,
-                    }
-                    for r in s.registers
-                ],
-            }
-            for s in spec.slaves
-        ],
-        "architecture": {
-            "topology": spec.architecture.topology,
-            "sync_length": spec.architecture.sync_length,
-            "global_depth": spec.architecture.global_depth,
-            "global_width": spec.architecture.global_width,
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(asdict(spec), indent=2) + "\n"
 
 
 def load_spec(path) -> RegisterMapSpec:
@@ -313,7 +280,9 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
             "$.bus.slave_select_bits",
             f"slave_select_bits ({bus.slave_select_bits}) must be < addr_width ({bus.addr_width})",
         )
-    if spec.slaves and bus.slave_select_bits >= 0 and (1 << max(bus.slave_select_bits, 0)) < len(spec.slaves):
+    # Sizes are compared by bit_length, never by building 1 << width: a
+    # width from the document can be too large to shift by.
+    if spec.slaves and 0 <= bus.slave_select_bits < (len(spec.slaves) - 1).bit_length():
         report.add(
             "bus_geometry",
             "$.bus.slave_select_bits",
@@ -365,7 +334,9 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
                     f"$.slaves[{i}].registers[{j}].width",
                     f"width {reg.width} outside 1..{bus.data_width}",
                 )
-            if reg.reset_value < 0 or (reg.width >= 1 and reg.reset_value >= (1 << reg.width)):
+            if reg.reset_value < 0 or (
+                reg.width >= 1 and reg.reset_value.bit_length() > reg.width
+            ):
                 report.add(
                     "reset_range",
                     f"$.slaves[{i}].registers[{j}].reset_value",
@@ -374,7 +345,7 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
 
         if slave.base_addr >= 0 and bus.addr_width >= 1:
             end = slave.base_addr + words[i]
-            if end > (1 << bus.addr_width):
+            if end > 0 and (end - 1).bit_length() > bus.addr_width:
                 report.add(
                     "addr_range",
                     f"$.slaves[{i}]",

@@ -171,6 +171,15 @@ def test_compare_needs_two_points(capsys):
     assert main(["compare", "--point", "topology=distributed"]) == 1
 
 
+@pytest.mark.parametrize("command, count", [("estimate", 2), ("sweep", 2), ("compare", 3)])
+def test_extra_points_exit_1(command, count, capsys):
+    assert main([command] + ["--point", "topology=distributed,N_t=4"] * count) == 1
+    needed = 2 if command == "compare" else 1
+    assert capsys.readouterr().err == (
+        f"error: {command} needs exactly {needed} --point argument(s), got {count}\n"
+    )
+
+
 def test_estimate_with_calibration_file(tmp_path, capsys):
     from regforge.cost import default_calibration, save_calibration
 

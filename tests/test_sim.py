@@ -131,6 +131,8 @@ def _overlapping_global(doc):
          "^address 0 decodes to both slave 'slave0' and slave 'slave1'$"),
         (_overlapping_global,
          "^address 2 decodes to both slave 'slave0' and slave 'slave1'$"),
+        (lambda doc: doc["architecture"].update(sync_length=0), "^sync_length 0 must be >= 1$"),
+        (lambda doc: doc["architecture"].update(sync_length=-1), "^sync_length -1 must be >= 1$"),
     ],
 )
 def test_build_sim_on_unvalidated_spec_raises_sim_error(break_doc, message):
@@ -494,6 +496,15 @@ def test_swap_refused_for_bad_fragment(distributed_spec):
     bad = (SettingSpec("x", 0, 64),)  # wider than the bus
     sim.swap_module("slave0", bad)
     assert any("bad_fragment" in e.detail for e in sim.violation_events())
+
+
+def test_swap_in_a_huge_address_space():
+    sim = _sim(make_spec(addr_width=1 << 40))
+    sim.run(ProgramScript(), 10 * CFG)
+    sim.swap_module("slave0", (SettingSpec("x", 4, 8),))  # slave1's first word
+    sim.swap_module("slave1", _swap_regs())
+    assert [e.detail for e in sim.violation_events()] == ["swap_refused:bad_fragment"]
+    assert sim.backdoor_read("slave1", 0) == 9
 
 
 def test_script_swap_applies_at_time(distributed_spec):

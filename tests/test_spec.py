@@ -1,10 +1,12 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regforge import SpecError, address_map, parse_spec, serialize, validate
+from regforge import SpecError, address_map, load_spec, parse_spec, serialize, validate
 
 from conftest import make_spec, make_spec_doc
 
@@ -75,6 +77,43 @@ def test_validate_flags_violations(mutate, code):
     mutate(doc)
     report = validate(parse_spec(json.dumps(doc)))
     assert any(d.code == code for d in report.diagnostics), str(report)
+
+
+HUGE = 1 << 40
+
+
+@pytest.mark.parametrize(
+    "mutate,codes",
+    [
+        (lambda d: d["bus"].update(slave_select_bits=HUGE), ["bus_geometry"]),
+        (lambda d: d["bus"].update(addr_width=HUGE), []),
+        (lambda d: (d["bus"].update(data_width=HUGE),
+                    d["slaves"][0]["registers"][0].update(width=HUGE)), []),
+    ],
+)
+def test_validate_checks_oversized_fields(mutate, codes):
+    doc = make_spec_doc()
+    mutate(doc)
+    report = validate(parse_spec(json.dumps(doc)))
+    assert [d.code for d in report.diagnostics] == codes
+
+
+# sha256 of serialize() per golden spec: pins key order and layout.
+SERIALIZED_SHA256 = {
+    "cdc_global": "2f40d14420c2daf125214824fe7aebb503ba460ecef2b3880d35050fb6e1a796",
+    "duo_dist": "483524a37fce7bd1250e16da29e097f28b405c546d4fa553b012ba1db4cc3dfc",
+    "mini_dist": "bea3fc1411aa42944308dbf3955ca8d736dacf67f3bdc53148bda85d6103fd77",
+    "mini_global": "f7648fe0ca8f6352aab4ca05da5b650b78bef6c811e08216624df5e02cd2d572",
+    "quad_dist": "7ed7c64918c7413a538b6f2a813e584f968aea1faba0a0a83412d4baa3683435",
+    "reg_global": "f125abecf64ad036d581edbaf73d2ff48488b79b5401f3dbacd32bb0f0874198",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZED_SHA256))
+def test_serialize_golden_spec_bytes(name):
+    path = pathlib.Path(__file__).parent / "golden" / "specs" / f"{name}.json"
+    text = serialize(load_spec(path))
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_SHA256[name]
 
 
 def test_validate_clean_four_slave_spec():
