@@ -22,10 +22,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-
-import numpy as np
 
 from .elaborate import TOPOLOGY_FLAGS, check_capacity
 from .errors import CalibrationError, SpecError, UncalibratedError
@@ -294,12 +293,18 @@ def _alut_features(point: DesignPoint) -> tuple[float, float, float]:
     return (float(addressed_words(point)), float(point.slaves * point.targets), 1.0)
 
 
+def _affine(coeffs, features: tuple[float, float, float]) -> float:
+    """``coeffs . features``, summed left to right, floored at zero."""
+    a, b, c = coeffs
+    x, y, z = features
+    return max(0.0, a * x + b * y + c * z)
+
+
 def estimate_aluts(point: DesignPoint, cal: Calibration) -> float:
     coeffs = cal.alut_coeffs.get(_alut_family(point))
     if coeffs is None:
         raise UncalibratedError(f"no ALUT fit for family {_alut_family(point)!r}")
-    value = float(np.dot(coeffs, _alut_features(point)))
-    return max(0.0, value)
+    return _affine(coeffs, _alut_features(point))
 
 
 def estimate_alms(point: DesignPoint, cal: Calibration) -> float:
@@ -312,7 +317,7 @@ def _alms(point: DesignPoint, cal: Calibration, registers: int, aluts: float) ->
     coeffs = cal.alm_coeffs.get(family)
     if coeffs is None:
         raise UncalibratedError(f"no ALM fit for family {family!r}")
-    return max(0.0, float(np.dot(coeffs, (float(registers), aluts, 1.0))))
+    return _affine(coeffs, (float(registers), aluts, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -394,21 +399,72 @@ def estimate(point: DesignPoint, cal: Calibration) -> ResourceEstimate:
 # Calibration
 
 
-def _lstsq_fit(rows: list[tuple[float, float, float]], values: list[float]):
-    a = np.asarray(rows, dtype=float)
-    y = np.asarray(values, dtype=float)
-    coeffs, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-    residuals = (a @ coeffs - y).tolist()
-    return tuple(float(c) for c in coeffs), residuals
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _row_reduce(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of ``matrix``: its nonzero rows and the
+    column index of each row's pivot.  Exact, so the rank is exact."""
+    rows = list(matrix)
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for col in range(width):
+        rank = len(pivots)
+        lead = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if lead is None:
+            continue
+        rows[rank], rows[lead] = rows[lead], rows[rank]
+        pivot_row = [v / rows[rank][col] for v in rows[rank]]
+        rows[rank] = pivot_row
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                factor = row[col]
+                rows[i] = [v - factor * p for v, p in zip(row, pivot_row)]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def _solve_gram(vectors: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve ``G w = rhs`` for the Gram matrix ``G[i][j] = vectors[i] .
+    vectors[j]`` of linearly independent ``vectors``."""
+    augmented = [[_dot(u, v) for v in vectors] + [b] for u, b in zip(vectors, rhs)]
+    reduced, _ = _row_reduce(augmented)
+    return [row[-1] for row in reduced]
+
+
+def _lstsq_fit(rows: list[tuple[float, ...]], values: list[float]):
+    """Minimum-norm least-squares coefficients ``x`` of ``rows @ x ~ values``
+    and the residuals ``rows @ x - values``.
+
+    The float inputs are taken exactly and solved in rational arithmetic
+    through the full-rank factorization ``A = C R`` (``R`` the nonzero rows
+    of A's reduced row echelon form, ``C`` A's pivot columns):
+    ``x = R^T (R R^T)^-1 (C^T C)^-1 C^T y``.  Each coefficient and residual
+    is rounded to float once.  A rank-deficient ``A`` (duplicated rows, a
+    zero column) therefore needs no cut-off, and an under-determined
+    system is interpolated exactly.
+    """
+    a = [[Fraction(v) for v in row] for row in rows]
+    y = [Fraction(v) for v in values]
+    r, pivots = _row_reduce(a)
+    pivot_columns = [[row[j] for row in a] for j in pivots]
+    u = _solve_gram(pivot_columns, [_dot(col, y) for col in pivot_columns])
+    z = _solve_gram(r, u)
+    x = [_dot(z, col) for col in zip(*r)] if r else [Fraction(0)] * len(a[0])
+    residuals = [float(_dot(row, x) - target) for row, target in zip(a, y)]
+    return tuple(float(c) for c in x), residuals
 
 
 def calibrate(datapoints: list[tuple[DesignPoint, Measurement]]) -> Calibration:
     """Fit every model family represented in the corpus.
 
-    Register overheads are means of measured-minus-structural residuals;
-    ALUT and ALM coefficients come from (minimum-norm) least squares, so
-    under-determined families interpolate their datapoints exactly.  The
-    speed curve needs at least two anchors with distinct bundle widths.
+    Register overheads are means of measured-minus-structural residuals.
+    ALUT and ALM coefficients, and the speed curve's two parameters, are
+    the exact minimum-norm least-squares solution of the float inputs,
+    rounded once to float (:func:`_lstsq_fit`), so under-determined
+    families interpolate their datapoints exactly.  The speed curve
+    needs at least two anchors with distinct bundle widths.
     """
     if not datapoints:
         raise CalibrationError("empty calibration corpus")
@@ -423,7 +479,7 @@ def calibrate(datapoints: list[tuple[DesignPoint, Measurement]]) -> Calibration:
     ]
     if global_regs:
         gaps = [m.registers - core_registers(p) for p, m in global_regs]
-        c_global = float(np.mean(gaps))
+        c_global = sum(gaps) / len(gaps)
         register_residuals["global"] = [float(g - c_global) for g in gaps]
 
     dist_regs = [
@@ -432,7 +488,7 @@ def calibrate(datapoints: list[tuple[DesignPoint, Measurement]]) -> Calibration:
     ]
     if dist_regs:
         gaps = [(m.registers - core_registers(p)) / p.slaves for p, m in dist_regs]
-        c_dist = float(np.mean(gaps))
+        c_dist = sum(gaps) / len(gaps)
         register_residuals["distributed"] = [
             float((g - c_dist) * p.slaves) for g, (p, _) in zip(gaps, dist_regs)
         ]
@@ -489,10 +545,9 @@ def calibrate(datapoints: list[tuple[DesignPoint, Measurement]]) -> Calibration:
         bundles = [b for b, _ in anchors]
         if len(set(bundles)) >= 2:
             # 1/f is affine in the bundle width for f = f0 / (1 + B/b0)
-            a = np.asarray([[1.0, b] for b, _ in anchors])
-            y = np.asarray([1.0 / f for _, f in anchors])
-            sol, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-            alpha, beta = float(sol[0]), float(sol[1])
+            (alpha, beta), _ = _lstsq_fit(
+                [(1.0, b) for b, _ in anchors], [1.0 / f for _, f in anchors]
+            )
             if alpha <= 0 or beta <= 0:
                 raise CalibrationError(
                     "fmax anchors are not decreasing in bundle width"

@@ -28,11 +28,18 @@ _INDENT = "    "
 _NON_IDENT = re.compile(r"[^a-z0-9_]")
 
 
-def sanitize_names(names: list[str]) -> dict[str, str]:
-    """Lower names to [a-z0-9_], deduplicating collisions with suffixes."""
+def sanitize_names(names: list[str], kind: str = "name") -> dict[str, str]:
+    """Lower names to [a-z0-9_], deduplicating collisions with suffixes.
+
+    Raises :class:`EmitError` if a name repeats: its two owners would
+    share one identifier, port or module file.  ``kind`` names what the
+    names belong to in that message.
+    """
     out: dict[str, str] = {}
     used: set[str] = set()
     for name in names:
+        if name in out:
+            raise EmitError(f"duplicate {kind} {name!r}")
         ident = _NON_IDENT.sub("_", name.lower())
         if not ident or ident[0].isdigit():
             ident = "x" + ident
@@ -77,12 +84,12 @@ class _Names(NamedTuple):
 
 def _names(spec: RegisterMapSpec) -> _Names:
     design = sanitize_names([spec.name])[spec.name]
-    domains = sanitize_names([d.name for d in spec.clock_domains])
-    idents = sanitize_names([s.name for s in spec.slaves])
+    domains = sanitize_names([d.name for d in spec.clock_domains], "clock domain")
+    idents = sanitize_names([s.name for s in spec.slaves], "slave")
     slaves = {}
     for slave in spec.slaves:
         regs = sorted(slave.registers, key=lambda r: r.offset)
-        reg_idents = sanitize_names([r.name for r in regs])
+        reg_idents = sanitize_names([r.name for r in regs], f"slave {slave.name!r} setting")
         ident = idents[slave.name]
         slaves[slave.name] = _Slave(
             ident, f"{design}_{ident}", [(r, reg_idents[r.name]) for r in regs]
@@ -366,6 +373,7 @@ def emit_testbench(model: DesignModel, spec: RegisterMapSpec, script: ProgramScr
     if model.topology != "distributed":
         raise EmitError("testbenches are only emitted for distributed designs")
 
+    names = _names(spec)
     bus = spec.bus
     cfg_period = spec.clock_domains[0].period_ps
     horizon = cfg_period * (
@@ -377,7 +385,6 @@ def emit_testbench(model: DesignModel, spec: RegisterMapSpec, script: ProgramScr
     sim = Simulation(model, spec)
     sim.run(script, horizon)
 
-    names = _names(spec)
     domains, cfg_clk = names.domains, names.cfg_clk
     lines = [_header(spec, model)]
     lines.append("`timescale 1ps/1ps")

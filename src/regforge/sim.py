@@ -387,16 +387,20 @@ class Simulation:
             if gate_open:
                 offset = addr - self._base[sidx]
                 width = self._widths[sidx][offset]
-                value = data & ((1 << width) - 1)
+                # mask only data wider than the setting: a width can be too
+                # large to build 1 << width
+                value = data if data >> width == 0 else data & ((1 << width) - 1)
                 name = self.slave_names[sidx]
                 self._emit(t, WRITE_ACCEPTED, name, addr, data)
                 self._emit(t, CONFIG_CHANGED, name, addr, value)
                 commits.append((sidx, offset, value))
                 if self.fault_mode and self.distributed and sidx in self._busy_end:
                     old = self._mem[sidx][offset]
+                    # old's bits from `half` up over value's low `half` bits,
+                    # by shifts sized by the values, not by the width
                     half = width // 2
-                    low_mask = (1 << half) - 1
-                    torn = (old & ~low_mask) | (value & low_mask)
+                    low = value - ((value >> half) << half)
+                    torn = ((old >> half) << half) | low
                     self._tears[(sidx, offset)] = (t, t + self._periods[0], torn)
                 self._current = None
                 self._held = 0

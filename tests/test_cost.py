@@ -1,10 +1,19 @@
 import dataclasses
 import hashlib
 import json
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import regforge
 from regforge import (
     CalibrationError,
     SpecError,
@@ -336,3 +345,108 @@ def test_default_corpus_registers_are_consistent(cal):
     for point, measured in DEFAULT_CORPUS:
         if measured.registers is not None:
             assert estimate_registers(point, cal) == measured.registers
+
+
+def test_import_loads_no_numpy():
+    src = pathlib.Path(regforge.__file__).resolve().parents[1]
+    code = (
+        "import sys, regforge, regforge.cli; regforge.default_calibration(); "
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "False\n"
+
+
+# ---------------------------------------------------------------------------
+# the exact minimum-norm least-squares fit
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _null_space(rows):
+    """An exact basis of {v : rows @ v = 0} for rows of 3 rationals."""
+    nonzero = [r for r in rows if any(r)]
+    if not nonzero:
+        return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    normal = next((c for u in nonzero for v in nonzero if any(c := _cross(u, v))), None)
+    if normal is not None:  # rank 2 or 3
+        return [normal] if all(_dot(r, normal) == 0 for r in rows) else []
+    # rank 1: the plane orthogonal to the one row direction
+    spanning = [c for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if any(c := _cross(nonzero[0], e))]
+    return [spanning[0], next(v for v in spanning if any(_cross(spanning[0], v)))]
+
+
+_ENTRY = st.integers(-16, 16).map(lambda k: k / 4)
+# measurement-like values; tiny ones would underflow the relative bounds below
+_VALUE = st.floats(-1e4, 1e4, allow_nan=False).filter(lambda v: v == 0 or abs(v) >= 1e-6)
+
+
+@st.composite
+def _systems(draw):
+    """1-6 rows of 2-3 columns, sometimes with a repeated row or a zero column."""
+    cols = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 6))
+    rows = [[draw(_ENTRY) for _ in range(cols)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for row in rows:
+            row[zero] = 0.0
+    values = [draw(_VALUE) for _ in range(n)]
+    return [tuple(r) for r in rows], values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+@example(([(1.0, 2.0, 3.0)], [5.0]))  # a single row
+@example(([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)], [1925.0, 1913.0]))  # repeated rows
+@example(([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)], [1.0, 2.0, 2.0]))  # zero column
+@example(([(0.0, 0.0), (0.0, 0.0)], [3.0, -1.0]))  # all zero
+def test_lstsq_fit_is_the_min_norm_least_squares_solution(system):
+    rows, values = system
+    coeffs, residuals = cost._lstsq_fit(rows, values)
+    assert len(coeffs) == len(rows[0]) and len(residuals) == len(rows)
+    terms = [[a * x for a, x in zip(row, coeffs)] for row in rows]
+    scale = [math.fsum(map(abs, t)) + abs(y) for t, y in zip(terms, values)]
+    r = [math.fsum(t + [-y]) for t, y in zip(terms, values)]
+    for got, want, size in zip(residuals, r, scale):
+        assert abs(got - want) <= 1e-12 * size
+    # least squares: A^T (A x - y) = 0
+    for j in range(len(coeffs)):
+        gradient = math.fsum(row[j] * ri for row, ri in zip(rows, r))
+        bound = math.fsum(abs(row[j]) * size for row, size in zip(rows, scale))
+        assert abs(gradient) <= 1e-12 * bound
+    # minimum norm: x is orthogonal to A's null space, so it lies in the row space
+    padded = [[Fraction(v) for v in row] + [Fraction(0)] * (3 - len(row)) for row in rows]
+    x = list(coeffs) + [0.0] * (3 - len(coeffs))
+    for n in _null_space(padded):
+        n = [float(v) for v in n]
+        assert abs(_dot(x, n)) <= 1e-12 * math.hypot(*x) * math.hypot(*n)
+
+
+def test_shipped_global_alut_fit_splits_the_two_measurements(cal):
+    # GMAX and GBARE share their ALUT features, so the fit lands on their mean
+    assert cal.alut_residuals["global"] == [-6.0, 6.0]
+    assert estimate_aluts(GMAX, cal) == estimate_aluts(GBARE, cal)
+    assert estimate_aluts(GMAX, cal) == pytest.approx(1_919.0, rel=1e-12)
+
+
+def test_shipped_underdetermined_fits_interpolate_exactly(cal):
+    assert cal.alut_residuals["distributed"] == [0.0]
+    assert all(r == 0.0 for family in cal.alm_residuals.values() for r in family)
+
+
+def test_shipped_fmax_fit_reproduces_both_anchors(cal):
+    assert estimate_fmax(GMAX, cal) == pytest.approx(140.0, rel=1e-12)
+    assert estimate_fmax(DIST, cal) == pytest.approx(210.0, rel=1e-12)
+    assert all(abs(r) <= 1e-12 for r in cal.fmax_residuals)

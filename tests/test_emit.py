@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 
@@ -6,9 +7,9 @@ import pytest
 from regforge import DesignModel, EmitError, elaborate, emit, emit_testbench, load_spec
 from regforge.emit import sanitize_names
 from regforge.sim import BusyWindow, ProgramScript, ScriptWrite, SwapRequest
-from regforge.spec import SettingSpec
+from regforge.spec import SettingSpec, parse_spec, validate
 
-from conftest import make_spec
+from conftest import make_spec, make_spec_doc
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_SPECS = sorted(p.stem for p in (GOLDEN / "specs").glob("*.json"))
@@ -88,6 +89,38 @@ def test_identifier_sanitation():
     assert mapping["weird name"] == "weird_name_2"
     assert mapping["9lives"] == "x9lives"
     assert mapping["ok_name"] == "ok_name"
+
+
+def _renamed(topology, rename):
+    doc = make_spec_doc(n_slaves=2, topology=topology, global_depth=16, global_width=32)
+    rename(doc)
+    return parse_spec(json.dumps(doc))
+
+
+def _second_slave_named_slave0(doc):
+    doc["slaves"][1]["name"] = "slave0"
+
+
+def _second_setting_named_r0(doc):
+    doc["slaves"][1]["registers"][1]["name"] = "r0"
+
+
+@pytest.mark.parametrize("topology", ["distributed", "global_cdc_dest"])
+def test_duplicate_slave_name_raises(topology):
+    spec = _renamed(topology, _second_slave_named_slave0)
+    with pytest.raises(EmitError, match="^duplicate slave 'slave0'$"):
+        _emit(spec)
+    if topology == "distributed":
+        with pytest.raises(EmitError, match="^duplicate slave 'slave0'$"):
+            _tb(spec, ProgramScript())
+
+
+@pytest.mark.parametrize("topology", ["distributed", "global_cdc_dest"])
+def test_duplicate_setting_name_raises(topology):
+    spec = _renamed(topology, _second_setting_named_r0)
+    assert validate(spec).ok  # validate does not compare setting names
+    with pytest.raises(EmitError, match="^duplicate slave 'slave1' setting 'r0'$"):
+        _emit(spec)
 
 
 def test_header_embeds_name_and_model_hash(distributed_spec):

@@ -22,7 +22,7 @@ from regforge.sim import (
     TraceEvent,
     trace_to_csv,
 )
-from regforge.spec import SettingSpec, address_map
+from regforge.spec import SettingSpec, address_map, validate
 
 from conftest import make_spec, make_spec_doc
 
@@ -505,6 +505,26 @@ def test_swap_in_a_huge_address_space():
     sim.swap_module("slave1", _swap_regs())
     assert [e.detail for e in sim.violation_events()] == ["swap_refused:bad_fragment"]
     assert sim.backdoor_read("slave1", 0) == 9
+
+
+def test_write_to_a_huge_setting():
+    huge = 1 << 40
+    spec = make_spec(n_slaves=1, regs_per_slave=1, width=huge, data_width=huge,
+                     periods=(10_000, 3_000))
+    assert validate(spec).ok
+    sim = _sim(spec)
+    sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 0xABCD),)), 20 * CFG)
+    assert sim.backdoor_read("slave0", 0) == 0xABCD
+    # a write into a busy window tears at bit huge // 2, above the whole word,
+    # so the fault shows as a busy write and never as a torn word
+    sim = _sim(spec, fault_mode=True)
+    script = ProgramScript(
+        writes=(ScriptWrite(25, 0, 0xFFFF_FFFF),),
+        busy_windows=(BusyWindow("slave0", 20 * CFG, 40 * CFG),),
+    )
+    sim.run(script, 60 * CFG)
+    assert sim.backdoor_read("slave0", 0) == 0xFFFF_FFFF
+    assert [v.kind for v in sim.check_coherence()] == ["busy_write"]
 
 
 def test_script_swap_applies_at_time(distributed_spec):
