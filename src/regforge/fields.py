@@ -60,6 +60,8 @@ def reject_unknown(obj: dict, allowed: frozenset[str], path) -> None:
 def read_int(obj: dict, key: str, path, default=REQUIRED) -> int:
     """A JSON integer, or a decimal or ``0x``-prefixed hex string."""
     value = obj.get(key, default)
+    if type(value) is int:  # the common case; bool is a type of its own
+        return value
     if value is REQUIRED:
         raise _missing(key, path)
     if isinstance(value, bool):

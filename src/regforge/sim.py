@@ -20,18 +20,22 @@ while the slave is busy is visible as a half-updated word for one
 configuration period.  This exists to prove the coherence checker can
 detect the hazard the handshake prevents.
 
-Time advances from event to event rather than edge by edge.  When no
-write is held, no slave is busy, and every distributed slave's sync
-chain is all-zero with ready high, an edge changes nothing but the
-configuration-cycle count: the master has nothing to issue, no slave
-samples, and each chain shifts a zero into zeros, so ready stays high.
-That holds until the next scripted write falls due, a busy window
-starts, a swap is applied, or the run ends, so the simulator jumps
-every domain straight to its first edge at or after the earliest of
-those times and adds the skipped configuration edges to ``cycle``.  On
-the edges it does step, only busy slaves sample and only busy or
-unsettled slaves shift their chains, in slave-index order.  The trace
-and final state are the same as stepping every edge.
+Time advances from event to event rather than edge by edge: a clock
+domain steps an edge only when that edge can do something, and otherwise
+jumps straight to its first edge at or after the earliest time it next
+can, or past the end of the run.  A slave domain's edge only samples the
+domain's busy slaves, so while none of them is busy the domain waits for
+the next busy-window start or end.  The configuration edge has work
+while a write is due or held, while a distributed slave's sync chain
+holds a 1 or its ready is low, or while any slave is busy.  Otherwise it
+would only shift zeros into all-zero chains and keep ready high, so it
+waits for the next scripted write to fall due or the next busy-window
+start or end, and the skipped edges are added to ``cycle``.  On the
+edges it does step, only busy slaves sample and only busy or unsettled
+slaves shift their chains, in slave-index order.  A swap changes no
+domain's work, so it is applied before the first edge stepped at or
+after its time.  The trace and final state are the same as stepping
+every edge.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bus import DEFAULT_TIMEOUT_CYCLES
 from .elaborate import DesignModel, global_word_map
@@ -66,8 +71,7 @@ VIOLATION = "violation"
 TRACE_COLUMNS = ("time_ps", "kind", "slave", "addr", "data")
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time_ps: int
     kind: str
     slave: str = ""
@@ -76,8 +80,7 @@ class TraceEvent:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ScriptWrite:
+class ScriptWrite(NamedTuple):
     at_cycle: int
     addr: int
     data: int
@@ -285,6 +288,10 @@ class Simulation:
         self.trace.append(TraceEvent(time_ps, kind, slave, addr, data, detail))
 
     def _bind_script(self, script: ProgramScript) -> None:
+        for w in script.writes:
+            if w.data < 0:
+                # masking it to the setting width would build a word that wide
+                raise SimError(f"write of negative data {w.data} to address {w.addr}")
         for w in script.busy_windows:
             if w.slave not in self._slave_idx:
                 raise SimError(f"busy window names unknown slave {w.slave!r}")
@@ -336,27 +343,28 @@ class Simulation:
         next_start = windows[pos][0] if pos < len(windows) else math.inf
         self._busy_change = min([next_start, *busy_end.values()])
 
-    def _wake_time(self, until_ps: int) -> int:
-        """Earliest time a quiescent design can next change: a write falling
-        due, a busy window starting, a swap, or the end of the run."""
-        wake = min(self._busy_change, until_ps + 1)
+    def _wake_time(self, d: int, t: int, end: int) -> int:
+        """Earliest time domain ``d``'s edge at ``t`` or later can do
+        anything: ``t`` or earlier when that edge has work, else a busy
+        window starting or ending, a write falling due, or ``end``."""
+        if d:
+            # a slave domain's edge only samples its busy slaves
+            return t if self._busy_in[d] else min(self._busy_change, end)
+        if self._current is not None or self._unsettled or self._busy_end:
+            return t
+        wake = min(self._busy_change, end)
         if self._queue_pos < len(self._queue):
             due = self._queue[self._queue_pos].at_cycle
-            wake = min(wake, self._next_edge[0] + max(due - self.cycle, 0) * self._periods[0])
-        if self._swap_pos < len(self._swaps):
-            wake = min(wake, self._swaps[self._swap_pos].at_ps)
+            wake = min(wake, t + (due - self.cycle) * self._periods[0])
         return wake
 
-    def _skip_before(self, wake: int) -> None:
-        """Pass over every edge earlier than ``wake`` without stepping it."""
-        next_edge = self._next_edge
-        for d, period in enumerate(self._periods):
-            if next_edge[d] < wake:
-                skipped = (wake - next_edge[d] - 1) // period + 1
-                next_edge[d] += skipped * period
-                self.time_ps = max(self.time_ps, next_edge[d] - period)
-                if d == 0:
-                    self.cycle += skipped
+    def _skip_to(self, d: int, wake: int) -> None:
+        """Pass over domain ``d``'s edges before ``wake`` without stepping them."""
+        period = self._periods[d]
+        skipped = (wake - self._next_edge[d] - 1) // period + 1
+        self._next_edge[d] += skipped * period
+        if d == 0:
+            self.cycle += skipped
 
     # -- clock edges ------------------------------------------------------
 
@@ -459,7 +467,6 @@ class Simulation:
         while self._swap_pos < len(self._swaps) and self._swaps[self._swap_pos].at_ps <= t:
             req = self._swaps[self._swap_pos]
             self._swap_pos += 1
-            self.time_ps = max(self.time_ps, req.at_ps)
             self.swap_module(req.slave, req.registers, time_ps=req.at_ps)
 
     # -- public operations -------------------------------------------------
@@ -467,32 +474,32 @@ class Simulation:
     def run(self, script: ProgramScript, until_ps: int) -> "Simulation":
         """Execute the script up to and including time ``until_ps``."""
         self._bind_script(script)
-        next_edge = self._next_edge
-        ndom = len(next_edge)
+        next_edge, periods = self._next_edge, self._periods
+        domains = range(len(periods))
+        end = until_ps + 1
         while True:
             t = min(next_edge)
             if t > until_ps:
                 break
             if t >= self._busy_change:
                 self._update_busy(t)
-            if self._current is None and not self._unsettled and not self._busy_end:
-                # settled: every edge before the wake time is a no-op
-                wake = self._wake_time(until_ps)
-                if wake > t:
-                    self._skip_before(wake)
-                    continue
             self._apply_swaps_until(t)
-            edging = [d for d in range(ndom) if next_edge[d] == t]
-            commits: list = []
-            for d in edging:
+            commits = None
+            for d in domains:
+                if next_edge[d] != t:
+                    continue
+                wake = self._wake_time(d, t, end)
+                if wake > t:
+                    self._skip_to(d, wake)
+                    continue
                 if d == 0:
+                    commits = []
                     self._config_edge(t, commits)
-                self._sample_edge(d, t)
-            if 0 in edging:
+                if self._busy_in[d]:
+                    self._sample_edge(d, t)
+                next_edge[d] += periods[d]
+            if commits is not None:
                 self._commit_config_edge(t, commits)
-            for d in edging:
-                next_edge[d] += self._periods[d]
-            self.time_ps = t
         self._apply_swaps_until(until_ps)
         self.time_ps = max(self.time_ps, until_ps)
         return self
@@ -625,10 +632,10 @@ def build_sim(
 def trace_to_csv(trace: list[TraceEvent]) -> str:
     """Render a trace as CSV with the stable five-column layout."""
     lines = [",".join(TRACE_COLUMNS)]
-    for e in trace:
-        addr = "" if e.addr is None else str(e.addr)
-        data = "" if e.data is None else str(e.data)
-        lines.append(f"{e.time_ps},{e.kind},{e.slave},{addr},{data}")
+    for time_ps, kind, slave, addr, data, _detail in trace:
+        addr = "" if addr is None else str(addr)
+        data = "" if data is None else str(data)
+        lines.append(f"{time_ps},{kind},{slave},{addr},{data}")
     return "\n".join(lines) + "\n"
 
 
@@ -646,26 +653,27 @@ def check_coherence(
     assumed to reset to zero.
     """
     resets = reset_values or {}
-    gated = {e.slave for e in trace if e.kind == READY_CHANGED}
-    ready: dict[str, bool] = {s: False for s in gated}
+    # ready of each slave that has changed it; whether a slave never does,
+    # and so is exempt from (a), is known only once the scan ends
+    ready: dict[str, bool] = {}
     valid: dict[tuple[str, int], set[int]] = {}
-    violations: list[CoherenceViolation] = []
+    found: list[tuple[str, TraceEvent]] = []
 
     for e in trace:
-        if e.kind == READY_CHANGED:
+        kind = e.kind
+        if kind == READY_CHANGED:
             ready[e.slave] = bool(e.data)
-        elif e.kind == CONFIG_CHANGED:
-            if e.slave in gated and not ready[e.slave]:
-                violations.append(
-                    CoherenceViolation("busy_write", e.time_ps, e.slave, e.addr, e.data)
-                )
+        elif kind == CONFIG_CHANGED:
+            if not ready.get(e.slave, False):
+                found.append(("busy_write", e))
             key = (e.slave, e.addr)
             valid.setdefault(key, {resets.get(key, 0)}).add(e.data)
-        elif e.kind == VALUE_SAMPLED:
+        elif kind == VALUE_SAMPLED:
             key = (e.slave, e.addr)
-            ok = valid.setdefault(key, {resets.get(key, 0)})
-            if e.data not in ok:
-                violations.append(
-                    CoherenceViolation("torn_word", e.time_ps, e.slave, e.addr, e.data)
-                )
-    return violations
+            if e.data not in valid.setdefault(key, {resets.get(key, 0)}):
+                found.append(("torn_word", e))
+    return [
+        CoherenceViolation(kind, e.time_ps, e.slave, e.addr, e.data)
+        for kind, e in found
+        if kind == "torn_word" or e.slave in ready
+    ]

@@ -316,6 +316,7 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
             report.add("negative_value", f"$.slaves[{i}].base_addr", "base_addr must be >= 0")
 
         seen_offsets = set()
+        seen_names = set()
         for j, reg in enumerate(slave.registers):
             if reg.offset < 0:
                 report.add(
@@ -328,6 +329,13 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
                     f"offset {reg.offset} used twice in slave {slave.name!r}",
                 )
             seen_offsets.add(reg.offset)
+            if reg.name in seen_names:
+                report.add(
+                    "dup_setting_name",
+                    f"$.slaves[{i}].registers[{j}]",
+                    f"setting {reg.name!r} named twice in slave {slave.name!r}",
+                )
+            seen_names.add(reg.name)
             if reg.width < 1 or (bus.data_width >= 1 and reg.width > bus.data_width):
                 report.add(
                     "setting_width",

@@ -118,7 +118,9 @@ def test_duplicate_slave_name_raises(topology):
 @pytest.mark.parametrize("topology", ["distributed", "global_cdc_dest"])
 def test_duplicate_setting_name_raises(topology):
     spec = _renamed(topology, _second_setting_named_r0)
-    assert validate(spec).ok  # validate does not compare setting names
+    assert [str(d) for d in validate(spec).diagnostics] == [
+        "[dup_setting_name] $.slaves[1].registers[1]: setting 'r0' named twice in slave 'slave1'"
+    ]
     with pytest.raises(EmitError, match="^duplicate slave 'slave1' setting 'r0'$"):
         _emit(spec)
 

@@ -219,6 +219,41 @@ def test_idle_cost_scales_with_events_not_cycles(distributed_spec, monkeypatch):
     assert stepped < 100
 
 
+def _count_slave_edges(monkeypatch):
+    """Count the slave-domain edges the simulator steps."""
+    stepped = []
+    sample_edge = Simulation._sample_edge
+
+    def counting_sample_edge(self, domain, t):
+        if domain:
+            stepped.append(t)
+        sample_edge(self, domain, t)
+
+    monkeypatch.setattr(Simulation, "_sample_edge", counting_sample_edge)
+    return stepped
+
+
+def test_dense_writes_step_no_idle_slave_edge(distributed_spec, rng, monkeypatch):
+    stepped = _count_slave_edges(monkeypatch)
+    script, until = random_script(distributed_spec, rng, 300)
+    sim = _sim(distributed_spec).run(script, until)
+    assert sum(e.kind == "write_accepted" for e in sim.trace) == 300
+    assert len(stepped) == sum(e.kind == "value_sampled" for e in sim.trace) == 0
+
+
+def test_window_between_config_edges_is_sampled_on_each_edge(monkeypatch):
+    # the config domain is busy with back-to-back writes while a 3,000 ps
+    # slave is busy from 21,000 to 29,000 ps, between config edges 2 and 3
+    stepped = _count_slave_edges(monkeypatch)
+    spec = make_spec(n_slaves=2, regs_per_slave=2, periods=(10_000, 3_000))
+    writes = tuple(ScriptWrite(c, 2 + c % 2, c) for c in range(8))
+    script = ProgramScript(writes, (BusyWindow("slave0", 21_000, 29_000),))
+    sim = _sim(spec).run(script, 100_000)
+    sampled = [e.time_ps for e in sim.trace if e.kind == "value_sampled"]
+    assert sampled == stepped == [21_000, 24_000, 27_000]
+    assert sum(e.kind == "write_accepted" for e in sim.trace) == 8
+
+
 def test_determinism_same_script_same_trace_hash(distributed_spec, rng):
     script, until = random_script(distributed_spec, rng, 500, n_windows=3)
     a = _sim(distributed_spec).run(script, until)
@@ -525,6 +560,15 @@ def test_write_to_a_huge_setting():
     sim.run(script, 60 * CFG)
     assert sim.backdoor_read("slave0", 0) == 0xFFFF_FFFF
     assert [v.kind for v in sim.check_coherence()] == ["busy_write"]
+
+
+def test_negative_write_data_raises_before_running():
+    huge = 1 << 40
+    spec = make_spec(n_slaves=1, regs_per_slave=1, width=huge, data_width=huge)
+    sim = _sim(spec)
+    with pytest.raises(SimError, match="^write of negative data -1 to address 0$"):
+        sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 5), ScriptWrite(3, 0, -1))), 20 * CFG)
+    assert sim.trace == [] and sim.cycle == 0
 
 
 def test_script_swap_applies_at_time(distributed_spec):

@@ -68,6 +68,8 @@ def test_target_scale_spec():
         (lambda d: d["slaves"].append(dict(d["slaves"][1], base_addr=4)), "dup_slave_name"),
         (lambda d: d["slaves"][0]["registers"].append(
             {"name": "again", "offset": 0, "width": 8}), "dup_offset"),
+        (lambda d: d["slaves"][1]["registers"].append(
+            {"name": "r0", "offset": 4, "width": 8}), "dup_setting_name"),
         (lambda d: d["bus"].__setitem__("slave_select_bits", 9), "bus_geometry"),
         (lambda d: d["slaves"][0].__setitem__("base_addr", 253), "addr_range"),
     ],
@@ -242,7 +244,7 @@ def spec_docs(draw, force_valid=True):
 
 
 def _break_doc(draw, doc):
-    choice = draw(st.integers(0, 4))
+    choice = draw(st.integers(0, 5))
     if choice == 0 and doc["slaves"]:
         doc["slaves"][0]["clock_domain"] = "nonexistent"
     elif choice == 1 and doc["slaves"] and doc["slaves"][0]["registers"]:
@@ -252,6 +254,9 @@ def _break_doc(draw, doc):
     elif choice == 3 and doc["slaves"] and doc["slaves"][0]["registers"]:
         regs = doc["slaves"][0]["registers"]
         regs.append(dict(regs[0], name="clone"))
+    elif choice == 4 and doc["slaves"] and len(doc["slaves"][-1]["registers"]) >= 2:
+        regs = doc["slaves"][-1]["registers"]
+        regs[-1]["name"] = regs[0]["name"]
     else:
         doc["clock_domains"][0]["period_ps"] = 0
     return doc
@@ -301,6 +306,9 @@ def _brute_force_ok(doc):
             return False
         offsets = [r["offset"] for r in s["registers"]]
         if len(set(offsets)) != len(offsets):
+            return False
+        names = [r["name"] for r in s["registers"]]
+        if len(set(names)) != len(names):
             return False
         for r in s["registers"]:
             if r["offset"] < 0:
