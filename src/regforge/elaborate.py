@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import ClassVar, Union
 
 from .errors import CapacityError
-from .spec import GLOBAL_TOPOLOGIES, AddressEntry, RegisterMapSpec
+from .spec import GLOBAL_TOPOLOGIES, RegisterMapSpec
 
 # Canonical flag presets for the named centralized topologies.
 TOPOLOGY_FLAGS = {
@@ -347,12 +348,14 @@ def structural_counts(model: DesignModel) -> StructuralCounts:
     )
 
 
-def global_word_map(entries: list[AddressEntry]) -> dict[int, int]:
+def global_word_map(addresses: Iterable[int]) -> dict[int, int]:
     """Assign each addressed setting a word slot in the central memory.
 
-    ``entries`` is the spec's :func:`~regforge.spec.address_map`.
-    Allocation follows its order, so it is stable for a given spec.
-    Words beyond the last allocated slot remain plain storage and are not
+    ``addresses`` are the spec's distinct setting addresses, in any order.
+    Slots follow ascending address, the order of
+    :func:`~regforge.spec.address_map`, so the allocation is stable for a
+    given spec and the same in the emitter and the simulator.  Words
+    beyond the last allocated slot remain plain storage and are not
     reachable over the bus.
     """
-    return {entry.address: slot for slot, entry in enumerate(entries)}
+    return {addr: slot for slot, addr in enumerate(sorted(addresses))}

@@ -278,7 +278,7 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str,
     arch = spec.architecture
     opts = model.options
     depth, width = arch.global_depth, arch.global_width
-    word_of = global_word_map(address_map(spec))
+    word_of = global_word_map(entry.address for entry in address_map(spec))
 
     lines = _module(header, names.top, _top_ports(spec, names, handshake=False))
     lines.append(f"{_INDENT}logic {_range(width)}mem [{depth}];")

@@ -26,16 +26,19 @@ jumps straight to its first edge at or after the earliest time it next
 can, or past the end of the run.  A slave domain's edge only samples the
 domain's busy slaves, so while none of them is busy the domain waits for
 the next busy-window start or end.  The configuration edge has work
-while a write is due or held, while a distributed slave's sync chain
-holds a 1 or its ready is low, or while any slave is busy.  Otherwise it
-would only shift zeros into all-zero chains and keep ready high, so it
+while a write is due or held, while a slave of its own domain is busy,
+or while a distributed slave is unsettled: its next edge would change
+its sync chain or its ready.  A slave settles once its chain holds only
+its busy bit and its ready is the inverse of that bit, and it becomes
+unsettled when a busy window of it starts or ends, or when a new script
+drops the window it was still busy in.  Otherwise the configuration edge
 waits for the next scripted write to fall due or the next busy-window
-start or end, and the skipped edges are added to ``cycle``.  On the
-edges it does step, only busy slaves sample and only busy or unsettled
-slaves shift their chains, in slave-index order.  A swap changes no
-domain's work, so it is applied before the first edge stepped at or
-after its time.  The trace and final state are the same as stepping
-every edge.
+start or end, and the skipped edges are added to ``cycle``, so a long
+busy window steps only the few edges at each end.  On the edges it does
+step, only busy slaves sample and only unsettled slaves shift their
+chains, in slave-index order.  A swap changes no domain's work, so it is
+applied before the first edge stepped at or after its time.  The trace
+and final state are the same as stepping every edge.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .fields import (
     read_str,
     reject_unknown,
 )
-from .spec import RegisterMapSpec, SettingSpec, address_map, parse_fragment
+from .spec import RegisterMapSpec, SettingSpec, parse_fragment
 
 WRITE_ISSUED = "write_issued"
 WRITE_ACCEPTED = "write_accepted"
@@ -130,13 +133,11 @@ def parse_script(text: str) -> ProgramScript:
     writes = []
     for path, obj in objects(read_list(doc, "writes", ROOT, []), (ROOT, "writes")):
         reject_unknown(obj, _WRITE_KEYS, path)
-        writes.append(
-            ScriptWrite(
-                at_cycle=read_int(obj, "at_cycle", path, 0),
-                addr=read_int(obj, "addr", path, 0),
-                data=read_int(obj, "data", path, 0),
-            )
-        )
+        writes.append(ScriptWrite(
+            read_int(obj, "at_cycle", path, 0),
+            read_int(obj, "addr", path, 0),
+            read_int(obj, "data", path, 0),
+        ))
 
     windows = []
     for path, obj in objects(read_list(doc, "busy_windows", ROOT, []), (ROOT, "busy_windows")):
@@ -223,43 +224,51 @@ class Simulation:
         self._slave_idx = {s.name: i for i, s in enumerate(spec.slaves)}
         self._base = [s.base_addr for s in spec.slaves]
         self._domain_of = [domain_index[s.clock_domain] for s in spec.slaves]
-        self._widths = [{r.offset: r.width for r in s.registers} for s in spec.slaves]
-        self._resets = [
-            {r.offset: r.reset_value for r in s.registers} for s in spec.slaves
-        ]
+
+        # every per-register table in one pass over the registers
+        self._widths: list[dict[int, int]] = []
+        self._resets: list[dict[int, int]] = []
+        decode = self._decode = {}  # address -> (slave, offset)
+        initial = self.initial_resets = {}  # (slave name, address) -> reset value
+        collisions = []  # (address, first slave, second slave)
+        for sidx, s in enumerate(spec.slaves):
+            base, name = s.base_addr, s.name
+            widths, resets = {}, {}
+            for _setting, offset, width, reset in s.registers:
+                widths[offset] = width
+                resets[offset] = reset
+                addr = base + offset
+                if addr in decode:
+                    collisions.append((addr, decode[addr][0], sidx))
+                else:
+                    decode[addr] = (sidx, offset)
+                initial[(name, addr)] = reset
+            self._widths.append(widths)
+            self._resets.append(resets)
+        if collisions:
+            # the lowest shared address, with its first two slaves in spec order
+            addr, first, second = min(collisions, key=lambda c: c[0])
+            raise SimError(
+                f"address {addr} decodes to both slave {self.slave_names[first]!r} "
+                f"and slave {self.slave_names[second]!r}"
+            )
         self._offsets = [sorted(w) for w in self._widths]
         self._mem = [dict(r) for r in self._resets]
         self._ready = [False] * len(spec.slaves)
         self._busy_sync = [[0] * self.sync_length for _ in spec.slaves]
-        # distributed slaves whose chain holds a 1 or whose ready is low
+        # distributed slaves whose next config edge changes their chain or
+        # ready: a slave is settled once its chain is all ones and its ready
+        # low while it is busy, or all zeros and high while it is not
         self._unsettled = set(range(len(spec.slaves))) if self.distributed else set()
         self._rotation = [0] * len(spec.slaves)
-
-        entries = address_map(spec)
-        decode = self._decode = {}
-        for entry in entries:
-            addr = entry.address
-            if addr in decode:
-                other = self.slave_names[decode[addr][0]]
-                raise SimError(
-                    f"address {addr} decodes to both slave {other!r} and slave {entry.slave!r}"
-                )
-            idx = self._slave_idx[entry.slave]
-            decode[addr] = (idx, addr - self._base[idx])
 
         self._word_of: dict[int, int] = {}
         self._words: dict[int, int] = {}
         if not self.distributed:
-            self._word_of = global_word_map(entries)
+            self._word_of = global_word_map(decode)
             for addr, word in self._word_of.items():
-                sidx, off = self._decode[addr]
+                sidx, off = decode[addr]
                 self._words[word] = self._resets[sidx][off]
-
-        self.initial_resets = {
-            (s.name, s.base_addr + r.offset): r.reset_value
-            for s in spec.slaves
-            for r in s.registers
-        }
 
         # master
         self._queue: list[ScriptWrite] = []
@@ -319,6 +328,9 @@ class Simulation:
         merged.sort()
         self._windows = merged
         self._win_pos = 0
+        if self.distributed:
+            # a slave still busy when the last run ended is not busy now
+            self._unsettled.update(self._busy_end)
         self._busy_end = {}
         self._busy_in = [[] for _ in self.domains]
         self._busy_change = merged[0][0] if merged else math.inf
@@ -329,13 +341,18 @@ class Simulation:
     def _update_busy(self, t: int) -> None:
         """Bring the busy sets up to time ``t`` (called when a window starts or ends)."""
         windows, pos, busy_end = self._windows, self._win_pos, self._busy_end
+        changed = []
         while pos < len(windows) and windows[pos][0] <= t:
             _start, end, sidx = windows[pos]
             busy_end[sidx] = end  # a slave's earlier window has ended by now
+            changed.append(sidx)
             pos += 1
         self._win_pos = pos
         for sidx in [s for s, end in busy_end.items() if end <= t]:
             del busy_end[sidx]
+            changed.append(sidx)
+        if self.distributed:
+            self._unsettled.update(changed)
         busy_in: list[list[int]] = [[] for _ in self.domains]
         for sidx in sorted(busy_end):
             busy_in[self._domain_of[sidx]].append(sidx)
@@ -350,7 +367,7 @@ class Simulation:
         if d:
             # a slave domain's edge only samples its busy slaves
             return t if self._busy_in[d] else min(self._busy_change, end)
-        if self._current is not None or self._unsettled or self._busy_end:
+        if self._current is not None or self._unsettled or self._busy_in[0]:
             return t
         wake = min(self._busy_change, end)
         if self._queue_pos < len(self._queue):
@@ -444,23 +461,21 @@ class Simulation:
             self._mem[sidx][offset] = value
             if not self.distributed:
                 self._words[self._word_of[self._base[sidx] + offset]] = value
-        # a settled slave that is not busy shifts a zero into an all-zero
-        # chain and keeps ready high, so only the others are visited
+        # a settled slave shifts its busy bit into a chain that already
+        # holds only that bit and keeps its ready, so only the others are
+        # visited
         unsettled, busy_end = self._unsettled, self._busy_end
-        if unsettled or (self.distributed and busy_end):
-            for sidx in sorted(unsettled.union(busy_end)):
-                chain = self._busy_sync[sidx]
-                synced = chain.pop()
-                chain.insert(0, 1 if sidx in busy_end else 0)
-                new_ready = not synced
-                if new_ready != self._ready[sidx]:
-                    self._ready[sidx] = new_ready
-                    self._emit(t, READY_CHANGED, self.slave_names[sidx],
-                               data=int(new_ready))
-                if new_ready and not any(chain):
-                    unsettled.discard(sidx)
-                else:
-                    unsettled.add(sidx)
+        for sidx in sorted(unsettled):
+            chain = self._busy_sync[sidx]
+            synced = chain.pop()
+            busy = sidx in busy_end
+            chain.insert(0, 1 if busy else 0)
+            new_ready = not synced
+            if new_ready != self._ready[sidx]:
+                self._ready[sidx] = new_ready
+                self._emit(t, READY_CHANGED, self.slave_names[sidx], data=int(new_ready))
+            if new_ready != busy and (all(chain) if busy else not any(chain)):
+                unsettled.discard(sidx)
         self.cycle += 1
 
     def _apply_swaps_until(self, t: int) -> None:

@@ -4,8 +4,8 @@ A register map is described by a JSON document naming the bus geometry,
 the clock domains, the slave blocks with their settings registers, and
 the storage architecture to compile to.  This module turns that document
 into an immutable :class:`RegisterMapSpec`, checks every structural
-invariant, and derives the flat address map that the decoder, simulator,
-and HDL emitter all share.
+invariant, and derives the flat address map that the HDL emitter and
+the reference bus model read.
 
 Integers in the document may be plain JSON numbers or ``"0x"``-prefixed
 hex strings.  Unknown keys are rejected so typos fail loudly.
@@ -47,8 +47,10 @@ class ClockDomain:
     period_ps: int
 
 
-@dataclass(frozen=True)
-class SettingSpec:
+class SettingSpec(NamedTuple):
+    """One settings register.  A tuple, not a dataclass, because parsing
+    builds one per register of the document."""
+
     name: str
     offset: int
     width: int
@@ -158,10 +160,10 @@ def _parse_settings(items: list, path) -> tuple[SettingSpec, ...]:
     for reg_path, obj in objects(items, path):
         reject_unknown(obj, _SETTING_KEYS, reg_path)
         settings.append(SettingSpec(
-            name=read_str(obj, "name", reg_path),
-            offset=read_int(obj, "offset", reg_path),
-            width=read_int(obj, "width", reg_path),
-            reset_value=read_int(obj, "reset_value", reg_path, 0),
+            read_str(obj, "name", reg_path),
+            read_int(obj, "offset", reg_path),
+            read_int(obj, "width", reg_path),
+            read_int(obj, "reset_value", reg_path, 0),
         ))
     return tuple(settings)
 
@@ -243,11 +245,15 @@ def parse_spec(text: str) -> RegisterMapSpec:
 def serialize(spec: RegisterMapSpec) -> str:
     """Render a spec back to its canonical JSON form.
 
-    Canonical form uses schema key order (the dataclass field order),
+    Canonical form uses schema key order (the field order of each record),
     decimal integers, and two-space indentation;
     ``parse_spec(serialize(s)) == s`` for any valid spec.
     """
-    return json.dumps(asdict(spec), indent=2) + "\n"
+    doc = asdict(spec)
+    # asdict leaves a NamedTuple a tuple, which json writes as an array
+    for slave in doc["slaves"]:
+        slave["registers"] = [reg._asdict() for reg in slave["registers"]]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_spec(path) -> RegisterMapSpec:
@@ -317,38 +323,36 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
 
         seen_offsets = set()
         seen_names = set()
-        for j, reg in enumerate(slave.registers):
-            if reg.offset < 0:
+        for j, (setting, offset, width, reset) in enumerate(slave.registers):
+            if offset < 0:
                 report.add(
                     "negative_value", f"$.slaves[{i}].registers[{j}].offset", "offset must be >= 0"
                 )
-            if reg.offset in seen_offsets:
+            if offset in seen_offsets:
                 report.add(
                     "dup_offset",
                     f"$.slaves[{i}].registers[{j}]",
-                    f"offset {reg.offset} used twice in slave {slave.name!r}",
+                    f"offset {offset} used twice in slave {slave.name!r}",
                 )
-            seen_offsets.add(reg.offset)
-            if reg.name in seen_names:
+            seen_offsets.add(offset)
+            if setting in seen_names:
                 report.add(
                     "dup_setting_name",
                     f"$.slaves[{i}].registers[{j}]",
-                    f"setting {reg.name!r} named twice in slave {slave.name!r}",
+                    f"setting {setting!r} named twice in slave {slave.name!r}",
                 )
-            seen_names.add(reg.name)
-            if reg.width < 1 or (bus.data_width >= 1 and reg.width > bus.data_width):
+            seen_names.add(setting)
+            if width < 1 or (bus.data_width >= 1 and width > bus.data_width):
                 report.add(
                     "setting_width",
                     f"$.slaves[{i}].registers[{j}].width",
-                    f"width {reg.width} outside 1..{bus.data_width}",
+                    f"width {width} outside 1..{bus.data_width}",
                 )
-            if reg.reset_value < 0 or (
-                reg.width >= 1 and reg.reset_value.bit_length() > reg.width
-            ):
+            if reset < 0 or (width >= 1 and reset.bit_length() > width):
                 report.add(
                     "reset_range",
                     f"$.slaves[{i}].registers[{j}].reset_value",
-                    f"reset value {reg.reset_value} does not fit in {reg.width} bits",
+                    f"reset value {reset} does not fit in {width} bits",
                 )
 
         if slave.base_addr >= 0 and bus.addr_width >= 1:

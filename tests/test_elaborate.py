@@ -146,7 +146,7 @@ def test_conservation_each_setting_has_one_storage_slot():
     spec = make_spec(n_slaves=2, regs_per_slave=4, topology="global",
                      global_depth=16, global_width=32, addr_width=8)
     entries = address_map(spec)
-    word_of = global_word_map(entries)
+    word_of = global_word_map(entry.address for entry in entries)
     assert len(word_of) == len(entries)
     assert sorted(word_of.values()) == list(range(len(entries)))
 

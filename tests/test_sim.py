@@ -22,9 +22,10 @@ from regforge.sim import (
     TraceEvent,
     trace_to_csv,
 )
-from regforge.spec import SettingSpec, address_map, validate
+from regforge.spec import TOPOLOGIES, SettingSpec, address_map, validate
 
 from conftest import make_spec, make_spec_doc
+from test_spec import spec_docs
 
 CFG = 10_000  # canonical configuration-clock period in the fixtures
 
@@ -143,6 +144,29 @@ def test_build_sim_on_unvalidated_spec_raises_sim_error(break_doc, message):
         _sim(spec)
 
 
+@settings(max_examples=60, deadline=None)
+@given(spec_docs(), st.sampled_from(TOPOLOGIES), st.randoms(use_true_random=False))
+def test_one_pass_tables_match_address_map(doc, topology, rnd):
+    # slaves and registers out of address order, so the one pass over the
+    # spec and the sorted address map walk the registers differently
+    rnd.shuffle(doc["slaves"])
+    for slave in doc["slaves"]:
+        rnd.shuffle(slave["registers"])
+    doc["architecture"].update(topology=topology, global_depth=64, global_width=64)
+    spec = parse_spec(json.dumps(doc))
+    sim = _sim(spec)
+    entries = address_map(spec)
+    index = {s.name: i for i, s in enumerate(spec.slaves)}
+    assert sim._decode == {
+        e.address: (index[e.slave], e.address - spec.slaves[index[e.slave]].base_addr)
+        for e in entries
+    }
+    slots = {} if topology == "distributed" else {
+        e.address: slot for slot, e in enumerate(entries)
+    }
+    assert sim._word_of == slots
+
+
 def test_unknown_slave_or_offset_raises():
     sim = _sim(make_spec())
     with pytest.raises(SimError):
@@ -198,16 +222,21 @@ def test_empty_script_only_clocks(distributed_spec):
     assert sim.time_ps == 50 * CFG
 
 
-def test_idle_cost_scales_with_events_not_cycles(distributed_spec, monkeypatch):
-    stepped = 0
+def _count_config_edges(monkeypatch):
+    """Count the configuration edges the simulator steps."""
+    stepped = []
     config_edge = Simulation._config_edge
 
     def counting_config_edge(self, t, commits):
-        nonlocal stepped
-        stepped += 1
+        stepped.append(t)
         config_edge(self, t, commits)
 
     monkeypatch.setattr(Simulation, "_config_edge", counting_config_edge)
+    return stepped
+
+
+def test_idle_cost_scales_with_events_not_cycles(distributed_spec, monkeypatch):
+    stepped = _count_config_edges(monkeypatch)
     script = ProgramScript(
         writes=(ScriptWrite(10, 0, 1), ScriptWrite(400_000, 5, 2), ScriptWrite(999_000, 3, 3)),
         busy_windows=(BusyWindow("slave1", 500_000 * CFG, 500_020 * CFG),),
@@ -216,7 +245,26 @@ def test_idle_cost_scales_with_events_not_cycles(distributed_spec, monkeypatch):
     assert sim.cycle == 1_000_000
     assert sum(e.kind == "write_accepted" for e in sim.trace) == 3
     assert sum(e.kind == "value_sampled" for e in sim.trace) == 29  # 20 cycles at 7,000 ps
-    assert stepped < 100
+    assert len(stepped) < 100
+
+
+@pytest.mark.parametrize("topology,limit", [("distributed", 10), ("global_cdc_dest", 2)])
+def test_long_busy_window_steps_few_config_edges(topology, limit, monkeypatch):
+    # once slave0's chain is all ones and its ready is low (at once on a
+    # centralized design, which has no chains) the window's config edges
+    # have nothing to do until it ends
+    stepped = _count_config_edges(monkeypatch)
+    spec = make_spec(n_slaves=2, regs_per_slave=2, topology=topology, global_depth=16,
+                     global_width=32)
+    script = ProgramScript(
+        writes=(ScriptWrite(3, 2, 7),),
+        busy_windows=(BusyWindow("slave0", 10 * CFG, 100_010 * CFG),),
+    )
+    sim = _sim(spec).run(script, 200_000 * CFG)
+    assert sim.cycle == 200_000
+    assert sum(e.kind == "write_accepted" for e in sim.trace) == 1
+    assert sum(e.kind == "value_sampled" for e in sim.trace) == 142_857
+    assert len(stepped) <= limit
 
 
 def _count_slave_edges(monkeypatch):

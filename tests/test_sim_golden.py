@@ -207,6 +207,20 @@ def _single_domain():
     return _sim(spec).run(script, until * 4)
 
 
+def _long_window(topology, fault_mode):
+    """A 20,000-cycle busy window on slave0.  Without fault mode a write
+    to slave0 is held inside the window until ready rises again; in fault
+    mode it lands at once, torn on the distributed design."""
+    spec = make_spec(n_slaves=2, regs_per_slave=2, topology=topology, global_depth=16,
+                     global_width=32)
+    script = ProgramScript(
+        writes=(ScriptWrite(5, 2, 0xA5), ScriptWrite(10_000, 3, 0x5A),
+                ScriptWrite(15_000, 1, 0xC3), ScriptWrite(30_000, 0, 0x3C)),
+        busy_windows=(BusyWindow("slave0", 10 * CFG + 2_500, 20_010 * CFG + 2_500),),
+    )
+    return _sim(spec, fault_mode=fault_mode).run(script, 40_000 * CFG)
+
+
 def _sparse(cycles, topology="distributed"):
     rng = random.Random(cycles)
     spec = make_spec(n_slaves=4, regs_per_slave=4, topology=topology, global_depth=16,
@@ -239,6 +253,8 @@ CASES = {
     "off_edge_windows_L2": lambda: _off_edge_windows(2),
     "off_edge_windows_L3": lambda: _off_edge_windows(3),
     "single_domain": _single_domain,
+    **{f"long_window_{t}{'_fault' * f}": (lambda t=t, f=f: _long_window(t, f))
+       for t in ("distributed", "global_cdc_dest") for f in (False, True)},
     "sparse_1e5": lambda: _sparse(100_000),
     "sparse_1e6": lambda: _sparse(1_000_000),
     "sparse_1e5_global_cdc_dest": lambda: _sparse(100_000, "global_cdc_dest"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regforge import SpecError, address_map, load_spec, parse_spec, serialize, validate
+from regforge.spec import SettingSpec
 
 from conftest import make_spec, make_spec_doc
 
@@ -116,6 +117,19 @@ def test_serialize_golden_spec_bytes(name):
     path = pathlib.Path(__file__).parent / "golden" / "specs" / f"{name}.json"
     text = serialize(load_spec(path))
     assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_SHA256[name]
+
+
+def test_serialize_writes_each_setting_as_an_object():
+    doc = json.loads(serialize(make_spec(n_slaves=3, regs_per_slave=2)))
+    settings = [reg for slave in doc["slaves"] for reg in slave["registers"]]
+    assert len(settings) == 6
+    for reg in settings:
+        assert list(reg) == ["name", "offset", "width", "reset_value"]
+
+
+def test_setting_by_keyword_equals_setting_by_position():
+    assert SettingSpec(name="r", offset=3, width=8, reset_value=5) == SettingSpec("r", 3, 8, 5)
+    assert SettingSpec(name="r", offset=3, width=8) == SettingSpec("r", 3, 8, 0)
 
 
 def test_validate_clean_four_slave_spec():
