@@ -25,13 +25,11 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_TIMEOUT = 3
 
-# Boolean point fields; the numeric ones are named in cost.POINT_FIELDS.
-_POINT_FLAGS = ("output_registered", "cdc", "dest_registers")
-
 
 def parse_point(text: str) -> cost.DesignPoint:
-    """Parse ``k=v,...`` into a design point; topology flags default from
-    the named topology."""
+    """Parse ``k=v,...`` into a design point: ``topology`` and the numeric
+    fields named in :data:`cost.POINT_FIELDS`.  The topology alone picks
+    the register stages."""
     topology = None
     kwargs: dict = {}
     for item in text.split(","):
@@ -46,15 +44,13 @@ def parse_point(text: str) -> cost.DesignPoint:
             topology = value.strip()
         elif key in cost.POINT_FIELDS:
             kwargs[cost.POINT_FIELDS[key][0]] = int(value, 0)
-        elif key in _POINT_FLAGS:
-            kwargs[key] = value.strip().lower() in ("1", "true", "yes", "on")
         else:
             raise SpecError(f"unknown point field {key!r}")
     if topology is None:
         raise SpecError("point needs a topology field")
     if topology not in TOPOLOGIES:
         raise SpecError(f"unknown topology {topology!r}")
-    return cost.DesignPoint.named(topology, **kwargs)
+    return cost.DesignPoint(topology, **kwargs)
 
 
 def parse_sweep_range(text: str) -> tuple[str, list[int]]:
@@ -105,11 +101,7 @@ def _load_and_validate(spec_path: str, arch: str | None):
 
 
 def cmd_compile(args) -> int:
-    try:
-        spec, report = _load_and_validate(args.spec, args.arch)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    spec, report = _load_and_validate(args.spec, args.arch)
     if not report.ok:
         print(str(report), file=sys.stderr)
         return EXIT_INVALID
@@ -117,17 +109,13 @@ def cmd_compile(args) -> int:
     files = emit(model, spec)
     counts = structural_counts(model)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in sorted(files):
-            (out_dir / name).write_text(files[name], encoding="utf-8")
-        (out_dir / "model.json").write_text(model.to_json(), encoding="utf-8")
-        (out_dir / "counts.json").write_text(
-            json.dumps(dataclasses.asdict(counts), indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in sorted(files):
+        (out_dir / name).write_text(files[name], encoding="utf-8")
+    (out_dir / "model.json").write_text(model.to_json(), encoding="utf-8")
+    (out_dir / "counts.json").write_text(
+        json.dumps(dataclasses.asdict(counts), indent=2) + "\n", encoding="utf-8"
+    )
     print(f"wrote {len(files)} HDL file(s) + model.json + counts.json to {out_dir}")
     print(
         f"flipflops={counts.flipflops} decode_terms={counts.decode_terms} "
@@ -138,12 +126,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec, report = _load_and_validate(args.spec, args.arch)
-        script = sim.load_script(args.script)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    spec, report = _load_and_validate(args.spec, args.arch)
+    script = sim.load_script(args.script)
     if not report.ok:
         print(str(report), file=sys.stderr)
         return EXIT_INVALID
@@ -154,11 +138,7 @@ def cmd_simulate(args) -> int:
     coherence = simulation.check_coherence()
     total = len(violations) + len(coherence)
     if args.trace:
-        try:
-            simulation.write_trace(args.trace)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        simulation.write_trace(args.trace)
     print(f"violations: {total}")
     for event in violations:
         print(f"  {event.time_ps} {event.detail} slave={event.slave} addr={event.addr}")
@@ -217,11 +197,7 @@ def cmd_sweep(args) -> int:
     )
     text = cost.sweep_to_csv(rows)
     if args.csv:
-        try:
-            Path(args.csv).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        Path(args.csv).write_text(text, encoding="utf-8")
         print(f"wrote {len(rows)} row(s) to {args.csv}")
     else:
         print(text, end="")
@@ -292,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (RegforgeError, json.JSONDecodeError, ValueError) as exc:

@@ -26,8 +26,21 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
-from .elaborate import TOPOLOGY_FLAGS, check_capacity
+from .elaborate import ElaborationOptions, check_capacity
 from .errors import CalibrationError, SpecError, UncalibratedError
+from .fields import (
+    REQUIRED,
+    ROOT,
+    load_document,
+    objects,
+    read_int,
+    read_list,
+    read_number,
+    read_numbers,
+    read_obj,
+    read_str,
+    reject_unknown,
+)
 from .spec import (
     TOPOLOGIES,
     ArchChoice,
@@ -73,9 +86,9 @@ class DesignPoint:
 
     ``depth``/``width`` size the central memory (unused when
     distributed); each of ``slaves`` slave blocks consumes ``targets``
-    settings of ``target_width`` bits.  The register-stage flags follow
-    the named topology unless overridden.  Numeric fields below their
-    :data:`POINT_FIELDS` bound raise :class:`SpecError`.
+    settings of ``target_width`` bits.  The topology alone picks the
+    register stages.  Numeric fields below their :data:`POINT_FIELDS`
+    bound raise :class:`SpecError`.
     """
 
     topology: str
@@ -85,9 +98,6 @@ class DesignPoint:
     target_width: int = 32
     sync_length: int = 2
     slaves: int = 1
-    output_registered: bool = False
-    cdc: bool = False
-    dest_registers: bool = False
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
@@ -97,20 +107,6 @@ class DesignPoint:
             )
         for name, (attr, _) in POINT_FIELDS.items():
             check_point_field(name, getattr(self, attr))
-
-    @classmethod
-    def named(cls, topology: str, **kwargs) -> "DesignPoint":
-        """Build a point with the named topology's canonical flags."""
-        output_registered, cdc, dest_registers = TOPOLOGY_FLAGS.get(
-            topology, (False, False, False)
-        )
-        return cls(**{
-            "topology": topology,
-            "output_registered": output_registered,
-            "cdc": cdc,
-            "dest_registers": dest_registers,
-            **kwargs,
-        })
 
 
 @dataclass(frozen=True)
@@ -217,20 +213,19 @@ def core_registers(point: DesignPoint) -> int:
     """Structural flip-flop count implied by the point's formula.
 
     Centralized: depth*width storage (doubled by the output stage) plus
-    per-target synchronizer and destination stages.  Distributed: the
+    ``L + 1`` flip-flops per setting bit (synchronizer and destination
+    stages) when the topology crosses clock domains.  Distributed: the
     per-slave settings bits (ready/busy-sync flip-flops are part of the
     per-slave overhead constant).
     """
     setting_bits = point.slaves * point.targets * point.target_width
     if _is_distributed(point):
         return setting_bits
-    stages = 0
-    if point.cdc:
-        stages += point.sync_length
-    if point.dest_registers:
-        stages += 1
-    memory = point.depth * point.width * (2 if point.output_registered else 1)
-    return memory + setting_bits * stages
+    stages = ElaborationOptions.for_topology(point.topology)
+    memory = point.depth * point.width * (2 if stages.output_registered else 1)
+    if stages.cdc:
+        return memory + setting_bits * (point.sync_length + 1)
+    return memory
 
 
 def register_overhead(point: DesignPoint, cal: Calibration) -> float:
@@ -338,15 +333,14 @@ def widest_unregistered_bundle(point: DesignPoint) -> int:
     * centralized: raises :class:`CapacityError` exactly where
       :func:`elaborate_global` does, then takes the larger of the memory
       word ``W`` (the bus-to-memory bundle, present when ``D*W > 0``) and
-      the per-slave fan-out ``N_t*w'`` (present when ``S*N_t > 0``).  The
-      fan-out does not count when it runs from a memory flip-flop stage
-      straight into destination registers, i.e. with destination
-      registers, no CDC chain and ``D*W > 0``.  The ``mem -> mem_out``
-      pipe is registered at both ends and never counts.
+      the per-slave fan-out ``N_t*w'`` (present when ``S*N_t > 0``).
+      Every topology's fan-out ends at a pin mux or a synchronizer chain,
+      so it always counts; the ``mem -> mem_out`` pipe is registered at
+      both ends and never counts, so the stages do not change the width.
 
     This equals ``structural_counts(...).max_unregistered_bundle_bits`` of
-    the design :func:`point_to_spec` builds, elaborated with the point's
-    own stage flags; the tests hold the two against each other.
+    the design :func:`point_to_spec` builds, elaborated for the point's
+    topology; the tests hold the two against each other.
     """
     width = max(point.target_width, 1)
     words = point.slaves * point.targets
@@ -362,8 +356,7 @@ def widest_unregistered_bundle(point: DesignPoint) -> int:
         point.depth, point.width, words * width, words, width if words > 0 else 0
     )
     widest = point.width if memory_bits > 0 else 0
-    fanout_registered = point.dest_registers and not point.cdc and memory_bits > 0
-    if words > 0 and not fanout_registered:
+    if words > 0:
         widest = max(widest, point.targets * width)
     return widest
 
@@ -583,30 +576,30 @@ def calibrate(datapoints: list[tuple[DesignPoint, Measurement]]) -> Calibration:
 # increase of about 40%).
 DEFAULT_CORPUS: tuple[tuple[DesignPoint, Measurement], ...] = (
     (
-        DesignPoint.named(
+        DesignPoint(
             "global_cdc_dest", depth=256, width=32, targets=226, target_width=32,
             sync_length=2, slaves=1,
         ),
         Measurement(registers=38146, alms=10099.1, aluts=1925.0, fmax_mhz=140.0),
     ),
     (
-        DesignPoint.named(
+        DesignPoint(
             "global", depth=256, width=32, targets=226, target_width=32, slaves=1,
         ),
         Measurement(registers=8258, alms=2710.5, aluts=1913.0),
     ),
     (
-        DesignPoint.named(
+        DesignPoint(
             "distributed", targets=226, target_width=32, sync_length=2, slaves=1,
         ),
         Measurement(registers=7499, alms=2556.0, aluts=1887.0, fmax_mhz=210.0),
     ),
     (
-        DesignPoint.named("global_registered", depth=128, width=512, targets=0, slaves=0),
+        DesignPoint("global_registered", depth=128, width=512, targets=0, slaves=0),
         Measurement(alms=36024.1),
     ),
     (
-        DesignPoint.named("global", depth=128, width=512, targets=0, slaves=0),
+        DesignPoint("global", depth=128, width=512, targets=0, slaves=0),
         Measurement(alms=25731.5),
     ),
 )
@@ -651,7 +644,7 @@ def sweep(
         for depth, width in grid:
             for n_targets in targets:
                 for n_slaves in slaves:
-                    point = DesignPoint.named(
+                    point = DesignPoint(
                         topology,
                         depth=depth,
                         width=width,
@@ -721,6 +714,13 @@ def compare(point_a: DesignPoint, point_b: DesignPoint, cal: Calibration) -> Com
 # Persistence
 
 
+def _fits_to_json(coeffs: dict, residuals: dict) -> dict:
+    return {
+        family: {"coeffs": list(coeffs[family]), "residuals": residuals.get(family, [])}
+        for family in sorted(coeffs)
+    }
+
+
 def calibration_to_json(cal: Calibration) -> str:
     doc = {
         "register_overhead": {
@@ -728,20 +728,8 @@ def calibration_to_json(cal: Calibration) -> str:
             "c_distributed_per_slave": cal.c_distributed_per_slave,
             "residuals": cal.register_residuals,
         },
-        "alm": {
-            family: {
-                "coeffs": list(cal.alm_coeffs[family]),
-                "residuals": cal.alm_residuals.get(family, []),
-            }
-            for family in sorted(cal.alm_coeffs)
-        },
-        "alut": {
-            family: {
-                "coeffs": list(cal.alut_coeffs[family]),
-                "residuals": cal.alut_residuals.get(family, []),
-            }
-            for family in sorted(cal.alut_coeffs)
-        },
+        "alm": _fits_to_json(cal.alm_coeffs, cal.alm_residuals),
+        "alut": _fits_to_json(cal.alut_coeffs, cal.alut_residuals),
         "fmax": {
             "f0": cal.fmax_f0,
             "b0": cal.fmax_b0,
@@ -756,29 +744,78 @@ def calibration_to_json(cal: Calibration) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def calibration_from_json(text: str) -> Calibration:
-    doc = json.loads(text)
-    overhead = doc.get("register_overhead", {})
-    corpus = tuple(
-        (
-            DesignPoint(**entry["point"]),
-            Measurement(**entry["measured"]),
-        )
-        for entry in doc.get("corpus", [])
+_CALIBRATION_KEYS = frozenset({"register_overhead", "alm", "alut", "fmax", "corpus"})
+_OVERHEAD_KEYS = frozenset({"c_global", "c_distributed_per_slave", "residuals"})
+_FIT_KEYS = frozenset({"coeffs", "residuals"})
+_FMAX_KEYS = frozenset({"f0", "b0", "anchors", "residuals"})
+_ENTRY_KEYS = frozenset({"point", "measured"})
+# the keys calibration_to_json writes for a corpus point and its measurement
+_POINT_KEYS = frozenset(asdict(DesignPoint("distributed")))
+_MEASURED_KEYS = frozenset(asdict(Measurement()))
+
+
+def _section(obj: dict, key: str, path, allowed: frozenset[str], default=REQUIRED):
+    """The object ``obj[key]``, with no key outside ``allowed``, and its path."""
+    value = read_obj(obj, key, path, default)
+    reject_unknown(value, allowed, (path, key))
+    return value, (path, key)
+
+
+def _fits(doc: dict, key: str, families: tuple[str, ...]) -> tuple[dict, dict]:
+    """Coefficients and residuals of each family in the ``alm`` or ``alut`` section."""
+    section, path = _section(doc, key, ROOT, frozenset(families), {})
+    coeffs, residuals = {}, {}
+    for family in section:
+        fit, fit_path = _section(section, family, path, _FIT_KEYS)
+        coeffs[family] = tuple(read_numbers(fit, "coeffs", fit_path, length=3))
+        residuals[family] = read_numbers(fit, "residuals", fit_path, [])
+    return coeffs, residuals
+
+
+def _corpus_entry(entry: dict, path) -> tuple[DesignPoint, Measurement]:
+    reject_unknown(entry, _ENTRY_KEYS, path)
+    point, point_path = _section(entry, "point", path, _POINT_KEYS)
+    measured, measured_path = _section(entry, "measured", path, _MEASURED_KEYS)
+    numeric = {attr: read_int(point, attr, point_path) for attr, _ in POINT_FIELDS.values()}
+    return (
+        DesignPoint(read_str(point, "topology", point_path), **numeric),
+        Measurement(**{k: read_number(measured, k, measured_path) for k in _MEASURED_KEYS}),
     )
+
+
+def calibration_from_json(text: str) -> Calibration:
+    """Load a calibration written by :func:`calibration_to_json`; a
+    malformed or unknown field raises :class:`SpecError` with its path."""
+    doc = load_document(text)
+    reject_unknown(doc, _CALIBRATION_KEYS, ROOT)
+    overhead, overhead_path = _section(doc, "register_overhead", ROOT, _OVERHEAD_KEYS, {})
+    # the register model's families are the ALUT model's: global and distributed
+    residuals, residuals_path = _section(
+        overhead, "residuals", overhead_path, frozenset(ALUT_FAMILIES), {}
+    )
+    alm_coeffs, alm_residuals = _fits(doc, "alm", ALM_FAMILIES)
+    alut_coeffs, alut_residuals = _fits(doc, "alut", ALUT_FAMILIES)
+    fmax, fmax_path = _section(doc, "fmax", ROOT, _FMAX_KEYS, {})
+    # keyed by index, so each anchor pair is read like an object field
+    anchors = dict(enumerate(read_list(fmax, "anchors", fmax_path, [])))
     return Calibration(
-        c_global=overhead.get("c_global"),
-        c_distributed_per_slave=overhead.get("c_distributed_per_slave"),
-        register_residuals=overhead.get("residuals", {}),
-        alm_coeffs={k: tuple(v["coeffs"]) for k, v in doc.get("alm", {}).items()},
-        alm_residuals={k: v.get("residuals", []) for k, v in doc.get("alm", {}).items()},
-        alut_coeffs={k: tuple(v["coeffs"]) for k, v in doc.get("alut", {}).items()},
-        alut_residuals={k: v.get("residuals", []) for k, v in doc.get("alut", {}).items()},
-        fmax_f0=doc.get("fmax", {}).get("f0"),
-        fmax_b0=doc.get("fmax", {}).get("b0"),
-        fmax_anchors=tuple(tuple(a) for a in doc.get("fmax", {}).get("anchors", [])),
-        fmax_residuals=tuple(doc.get("fmax", {}).get("residuals", [])),
-        corpus=corpus,
+        c_global=read_number(overhead, "c_global", overhead_path),
+        c_distributed_per_slave=read_number(overhead, "c_distributed_per_slave", overhead_path),
+        register_residuals={f: read_numbers(residuals, f, residuals_path) for f in residuals},
+        alm_coeffs=alm_coeffs,
+        alm_residuals=alm_residuals,
+        alut_coeffs=alut_coeffs,
+        alut_residuals=alut_residuals,
+        fmax_f0=read_number(fmax, "f0", fmax_path),
+        fmax_b0=read_number(fmax, "b0", fmax_path),
+        fmax_anchors=tuple(
+            tuple(read_numbers(anchors, i, (fmax_path, "anchors"), length=2)) for i in anchors
+        ),
+        fmax_residuals=tuple(read_numbers(fmax, "residuals", fmax_path, [])),
+        corpus=tuple(
+            _corpus_entry(entry, path)
+            for path, entry in objects(read_list(doc, "corpus", ROOT, []), (ROOT, "corpus"))
+        ),
     )
 
 

@@ -5,9 +5,9 @@ muxes, synchronizer chains, and the wire bundles that connect them.  Two
 families are supported:
 
 * centralized storage, where every setting lives in one deep memory and
-  is fanned out to its consumers on wide bundles, optionally through an
-  output register stage, per-consumer synchronizer chains, and local
-  destination registers;
+  is fanned out to its consumers on wide bundles; the topology name picks
+  whether an output register stage follows the memory and whether each
+  consumer gets a synchronizer chain and local destination registers;
 * distributed storage, where each slave keeps its own settings bank and
   is written over a shared narrow configuration bus through a decoder,
   exporting a registered ``ready`` back to the bus master.
@@ -26,16 +26,8 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import ClassVar, Union
 
-from .errors import CapacityError
-from .spec import GLOBAL_TOPOLOGIES, RegisterMapSpec
-
-# Canonical flag presets for the named centralized topologies.
-TOPOLOGY_FLAGS = {
-    "global": (False, False, False),
-    "global_registered": (True, False, False),
-    "global_cdc_dest": (True, True, True),
-}
-
+from .errors import CapacityError, SpecError
+from .spec import RegisterMapSpec
 
 @dataclass(frozen=True)
 class FlipFlopBank:
@@ -87,9 +79,24 @@ class ElaborationOptions:
     cdc: bool = False
     dest_registers: bool = False
 
-    @classmethod
-    def for_topology(cls, topology: str) -> "ElaborationOptions":
-        return cls(*TOPOLOGY_FLAGS[topology])
+    @staticmethod
+    def for_topology(topology: str) -> "ElaborationOptions":
+        """The stages of ``topology``; :class:`SpecError` if it has none."""
+        options = TOPOLOGY_FLAGS.get(topology)
+        if options is None:
+            raise SpecError(f"unknown topology {topology!r}")
+        return options
+
+
+# Each topology's register stages: the one table that maps a topology to
+# them.  cdc holds exactly when dest_registers does; elaborate, emit and
+# cost rely on it.
+TOPOLOGY_FLAGS = {
+    "global": ElaborationOptions(False, False, False),
+    "global_registered": ElaborationOptions(True, False, False),
+    "global_cdc_dest": ElaborationOptions(True, True, True),
+    "distributed": ElaborationOptions(False, False, False),
+}
 
 
 @dataclass(frozen=True)
@@ -177,12 +184,14 @@ def check_capacity(depth: int, width: int, total_bits: int, total_words: int,
         )
 
 
-def elaborate_global(spec: RegisterMapSpec, options: ElaborationOptions) -> DesignModel:
-    """Build the centralized-memory model for the given register stages.
+def elaborate_global(spec: RegisterMapSpec) -> DesignModel:
+    """Build the centralized-memory model with the stages of the spec's topology.
 
-    Raises :class:`CapacityError` when the settings do not fit the memory
+    Raises :class:`SpecError` for a topology not in :data:`TOPOLOGY_FLAGS`
+    and :class:`CapacityError` when the settings do not fit the memory
     (see :func:`check_capacity`).
     """
+    options = ElaborationOptions.for_topology(spec.architecture.topology)
     arch = spec.architecture
     depth, width = arch.global_depth, arch.global_width
     check_capacity(
@@ -212,32 +221,27 @@ def elaborate_global(spec: RegisterMapSpec, options: ElaborationOptions) -> Desi
         b.slave_elements.setdefault(name, [])
         if bits == 0:
             continue
-        head = stage
         if options.cdc:
             sync = b.add(
                 SyncChain(f"{name}.sync", bits=bits, length=arch.sync_length),
                 slave=name,
             )
             b.add(
-                WireBundle(f"{name}.fanout", bits=bits, source=head, sink=sync),
+                WireBundle(f"{name}.fanout", bits=bits, source=stage, sink=sync),
                 slave=name,
             )
-            head = sync
-        if options.dest_registers:
             dest = b.add(
                 FlipFlopBank(f"{name}.dest", bits=bits, clock_domain=slave.clock_domain),
                 slave=name,
             )
-            wire = "pipe_dest" if options.cdc else "fanout"
             b.add(
-                WireBundle(f"{name}.{wire}", bits=bits, source=head, sink=dest),
+                WireBundle(f"{name}.pipe_dest", bits=bits, source=sync, sink=dest),
                 slave=name,
             )
-            head = dest
-        if not options.cdc and not options.dest_registers:
+        else:
             pins = b.add(Mux(f"{name}.pins", width=bits, ways=1), slave=name)
             b.add(
-                WireBundle(f"{name}.fanout", bits=bits, source=head, sink=pins),
+                WireBundle(f"{name}.fanout", bits=bits, source=stage, sink=pins),
                 slave=name,
             )
 
@@ -295,7 +299,7 @@ def elaborate_distributed(spec: RegisterMapSpec) -> DesignModel:
     return DesignModel(
         elements=tuple(b.elements),
         topology="distributed",
-        options=ElaborationOptions(),
+        options=ElaborationOptions.for_topology("distributed"),
         sync_length=arch.sync_length,
         slave_elements={k: tuple(v) for k, v in b.slave_elements.items()},
     )
@@ -303,12 +307,9 @@ def elaborate_distributed(spec: RegisterMapSpec) -> DesignModel:
 
 def elaborate(spec: RegisterMapSpec) -> DesignModel:
     """Elaborate using the architecture named in the spec."""
-    topology = spec.architecture.topology
-    if topology == "distributed":
+    if spec.architecture.topology == "distributed":
         return elaborate_distributed(spec)
-    if topology in GLOBAL_TOPOLOGIES:
-        return elaborate_global(spec, ElaborationOptions.for_topology(topology))
-    raise CapacityError(f"unknown topology {topology!r}")
+    return elaborate_global(spec)
 
 
 def structural_counts(model: DesignModel) -> StructuralCounts:

@@ -210,13 +210,12 @@ def _distributed_slave(spec: RegisterMapSpec, header: str, slave: SlaveSpec,
 def _global_slave(spec: RegisterMapSpec, model: DesignModel, header: str,
                   slave: SlaveSpec, ids: _Slave) -> str:
     bits = slave.setting_bits
-    opts = model.options
     sync_len = spec.architecture.sync_length
 
     ports = ["input  logic clk", f"input  logic {_range(bits)}settings_in"]
     lines = _module(header, ids.module, ports + _setting_ports(ids, ""))
     source = "settings_in"
-    if opts.cdc:
+    if model.options.cdc:
         for stage in range(sync_len):
             lines.append(f"{_INDENT}logic {_range(bits)}sync_{stage};")
         lines.append("")
@@ -226,12 +225,10 @@ def _global_slave(spec: RegisterMapSpec, model: DesignModel, header: str,
             lines.append(f"{_INDENT * 2}sync_{stage} <= sync_{stage - 1};")
         lines.append(f"{_INDENT}end")
         lines.append("")
-        source = f"sync_{sync_len - 1}"
-    if opts.dest_registers:
         lines.append(f"{_INDENT}logic {_range(bits)}dest_q;")
         lines.append("")
         lines.append(f"{_INDENT}always_ff @(posedge clk) begin")
-        lines.append(f"{_INDENT * 2}dest_q <= {source};")
+        lines.append(f"{_INDENT * 2}dest_q <= sync_{sync_len - 1};")
         lines.append(f"{_INDENT}end")
         lines.append("")
         source = "dest_q"

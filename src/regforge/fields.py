@@ -1,7 +1,8 @@
 """Typed field readers for regforge's JSON documents.
 
-The register-map parser (:mod:`regforge.spec`) and the programming-script
-parser (:mod:`regforge.sim`) read every field through these functions.
+The register-map parser (:mod:`regforge.spec`), the programming-script
+parser (:mod:`regforge.sim`) and the calibration loader
+(:mod:`regforge.cost`) read every field through these functions.
 A reader takes an object, a key and the path of the object, and raises
 :class:`SpecError` carrying the path of the offending field, such as
 ``$.slaves[3].registers[5].width``.
@@ -104,6 +105,30 @@ def read_list(obj: dict, key: str, path, default=REQUIRED) -> list:
     if not isinstance(value, list):
         raise _wrong_type("array", value, path, key)
     return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_number(obj: dict, key: str, path):
+    """A JSON integer or real; None when the field is null or absent."""
+    value = obj.get(key)
+    if value is not None and not _is_number(value):
+        raise _wrong_type("number", value, path, key)
+    return value
+
+
+def read_numbers(obj: dict, key: str, path, default=REQUIRED, length=None) -> list:
+    """An array of JSON numbers, of exactly ``length`` of them if given."""
+    items = read_list(obj, key, path, default)
+    path = (path, key)
+    if length is not None and len(items) != length:
+        raise SpecError(f"expected {length} numbers, got {len(items)}", format_path(path))
+    for i, value in enumerate(items):
+        if not _is_number(value):
+            raise _wrong_type("number", value, path, i)
+    return items
 
 
 def objects(items: list, path):

@@ -540,7 +540,7 @@ class Simulation:
         Refused (with a ``swap_refused`` violation event) unless the
         design is distributed, the slave's ready is high, no in-flight
         write addresses it, and the new registers fit the slave's
-        address slot.
+        address slot with distinct offsets and names.
         """
         t = self.time_ps if time_ps is None else time_ps
         sidx = self._slave_idx.get(slave)
@@ -561,12 +561,13 @@ class Simulation:
         base = self._base[sidx]
         limit = min((b for i, b in enumerate(self._base) if i != sidx and b > base),
                     default=None)
-        seen = set()
+        seen, names = set(), set()
         for reg in registers:
             # no 1 << width: a width can be too large to shift by
             if (
                 reg.offset < 0
                 or reg.offset in seen
+                or reg.name in names
                 or not (1 <= reg.width <= self.spec.bus.data_width)
                 or not (0 <= reg.reset_value and reg.reset_value.bit_length() <= reg.width)
                 or (base + reg.offset) >> self.spec.bus.addr_width > 0
@@ -574,6 +575,7 @@ class Simulation:
             ):
                 return refuse("bad_fragment")
             seen.add(reg.offset)
+            names.add(reg.name)
 
         for offset in self._widths[sidx]:
             del self._decode[base + offset]

@@ -3,14 +3,7 @@ import random
 
 import pytest
 
-from regforge import (
-    CapacityError,
-    ElaborationOptions,
-    elaborate_distributed,
-    elaborate_global,
-    parse_spec,
-    structural_counts,
-)
+from regforge import CapacityError, elaborate, parse_spec, structural_counts
 from regforge.cost import (
     DesignPoint,
     estimate_registers,
@@ -72,14 +65,9 @@ def make_spec(**kwargs):
 
 
 def oracle_model(point):
-    """Elaborate a design point through the spec bridge with the point's
-    own stage flags: the structural oracle for the estimator's closed forms."""
-    spec = point_to_spec(point)
-    if point.topology == "distributed":
-        return elaborate_distributed(spec)
-    return elaborate_global(
-        spec, ElaborationOptions(point.output_registered, point.cdc, point.dest_registers)
-    )
+    """Elaborate a design point through the spec bridge: the structural
+    oracle for the estimator's closed forms."""
+    return elaborate(point_to_spec(point))
 
 
 def check_against_oracle(point, cal):
@@ -102,17 +90,17 @@ def check_against_oracle(point, cal):
 # One point per capacity check, in the elaborator's order, with its message.
 OVER_CAPACITY = (
     (
-        DesignPoint.named("global", depth=4, width=8, targets=8, target_width=8),
+        DesignPoint("global", depth=4, width=8, targets=8, target_width=8),
         "settings need 64 bits but memory is 4x8",
     ),
     (
-        DesignPoint.named("global_registered", depth=4, width=32, targets=8,
-                          target_width=1),
+        DesignPoint("global_registered", depth=4, width=32, targets=8,
+                    target_width=1),
         "settings occupy 8 words but memory depth is 4",
     ),
     (
-        DesignPoint.named("global_cdc_dest", depth=16, width=4, targets=2,
-                          target_width=8, slaves=2),
+        DesignPoint("global_cdc_dest", depth=16, width=4, targets=2,
+                    target_width=8, slaves=2),
         "setting width 8 exceeds memory word width 4",
     ),
 )

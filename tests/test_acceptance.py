@@ -5,17 +5,14 @@ reports FAILED otherwise), so `pytest -v -s tests/test_acceptance.py`
 yields one verdict line per criterion.
 """
 
-import dataclasses
 import random
 
 import pytest
 
 from regforge import (
-    ElaborationOptions,
     build_sim,
     default_calibration,
     elaborate,
-    elaborate_global,
     emit,
     load_spec,
     structural_counts,
@@ -39,14 +36,14 @@ from test_sim import fold_oracle, random_script
 CFG = 10_000
 CAL = default_calibration()
 
-GMAX = DesignPoint.named(
+GMAX = DesignPoint(
     "global_cdc_dest", depth=256, width=32, targets=226, target_width=32,
     sync_length=2, slaves=1,
 )
-GBARE = DesignPoint.named(
+GBARE = DesignPoint(
     "global", depth=256, width=32, targets=226, target_width=32, slaves=1,
 )
-DIST = DesignPoint.named(
+DIST = DesignPoint(
     "distributed", targets=226, target_width=32, sync_length=2, slaves=1,
 )
 
@@ -56,15 +53,15 @@ def _report(number, text):
 
 
 def test_criterion_01_output_register_delta():
-    spec = make_spec(n_slaves=0, regs_per_slave=0, topology="global",
-                     global_depth=128, global_width=512, addr_width=16)
-    structural = (
-        structural_counts(elaborate_global(spec, ElaborationOptions(output_registered=True))).flipflops
-        - structural_counts(elaborate_global(spec, ElaborationOptions())).flipflops
-    )
+    def flipflops(topology):
+        spec = make_spec(n_slaves=0, regs_per_slave=0, topology=topology,
+                         global_depth=128, global_width=512, addr_width=16)
+        return structural_counts(elaborate(spec)).flipflops
+
+    structural = flipflops("global_registered") - flipflops("global")
     modeled = (
-        estimate_registers(DesignPoint.named("global_registered", depth=128, width=512), CAL)
-        - estimate_registers(DesignPoint.named("global", depth=128, width=512), CAL)
+        estimate_registers(DesignPoint("global_registered", depth=128, width=512), CAL)
+        - estimate_registers(DesignPoint("global", depth=128, width=512), CAL)
     )
     assert structural == 65_536
     assert modeled == 65_536
@@ -99,11 +96,11 @@ def test_criterion_05_fmax_anchors_and_ordering():
     points = 0
     for targets in range(26, 225, 22):
         for slaves in (1, 2):
-            glob = DesignPoint.named(
+            glob = DesignPoint(
                 "global_cdc_dest", depth=1024, width=32, targets=targets,
                 target_width=32, slaves=slaves,
             )
-            dist = DesignPoint.named(
+            dist = DesignPoint(
                 "distributed", targets=targets, target_width=32, slaves=slaves,
             )
             assert estimate_fmax(dist, CAL) > estimate_fmax(glob, CAL)
@@ -208,7 +205,7 @@ def test_criterion_09_model_elaborator_exactness():
         targets = rng.randrange(0, 64)
         width = rng.choice([1, 4, 8, 16, 32])
         slaves = rng.randrange(1, 5) if topology == "distributed" else rng.randrange(0, 4)
-        point = DesignPoint.named(
+        point = DesignPoint(
             topology,
             depth=max(2 * max(slaves, 1) * max(targets, 1), 2),
             width=width,
@@ -217,13 +214,6 @@ def test_criterion_09_model_elaborator_exactness():
             sync_length=rng.choice([2, 3, 4]),
             slaves=slaves,
         )
-        if topology != "distributed" and rng.random() < 0.5:
-            point = dataclasses.replace(
-                point,
-                output_registered=rng.random() < 0.5,
-                cdc=rng.random() < 0.5,
-                dest_registers=rng.random() < 0.5,
-            )
         assert check_against_oracle(point, CAL) is None
         checked += 1
     assert checked == 500
@@ -258,8 +248,8 @@ def test_criterion_10_emitter_determinism_and_goldens():
 def test_criterion_11_linearity():
     regs_by_targets = [
         estimate_registers(
-            DesignPoint.named("global_cdc_dest", depth=256, width=32,
-                              targets=n, target_width=32, slaves=1),
+            DesignPoint("global_cdc_dest", depth=256, width=32,
+                        targets=n, target_width=32, slaves=1),
             CAL,
         )
         for n in range(26, 227, 40)
@@ -269,7 +259,7 @@ def test_criterion_11_linearity():
 
     regs_by_slaves = [
         estimate_registers(
-            DesignPoint.named("distributed", targets=64, target_width=32, slaves=s),
+            DesignPoint("distributed", targets=64, target_width=32, slaves=s),
             CAL,
         )
         for s in range(1, 7)

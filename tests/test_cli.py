@@ -191,6 +191,50 @@ def test_estimate_with_calibration_file(tmp_path, capsys):
     assert "7499" in capsys.readouterr().out
 
 
+def _malformed_calibration(case):
+    """The default calibration as saved, broken in the way ``case`` names."""
+    from regforge.cost import calibration_to_json, default_calibration
+
+    doc = json.loads(calibration_to_json(default_calibration()))
+    if case == "missing_coeffs":
+        del doc["alm"]["distributed"]["coeffs"]
+    elif case == "unknown_point_key":
+        doc["corpus"][1]["point"]["bogus"] = 1
+    elif case == "top_level_array":
+        doc = [doc]
+    elif case == "fmax_not_object":
+        doc["fmax"] = [140.0]
+    else:  # a file saved while design points carried stage flags
+        for entry in doc["corpus"]:
+            entry["point"].update(output_registered=False, cdc=False, dest_registers=False)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing_coeffs", "$.alm.distributed: missing required field 'coeffs'"),
+        ("unknown_point_key", "$.corpus[1].point: unknown field(s): bogus"),
+        ("top_level_array", "$: expected object, got list"),
+        ("fmax_not_object", "$.fmax: expected object, got list"),
+        ("stage_flags",
+         "$.corpus[0].point: unknown field(s): cdc, dest_registers, output_registered"),
+    ],
+)
+def test_malformed_calibration_file_exits_1(case, message, tmp_path, capsys):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(_malformed_calibration(case)))
+    assert main(["estimate", "--calibration", str(path),
+                 "--point", "topology=distributed,N_t=4"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_calibration_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["estimate", "--calibration", str(tmp_path),
+                 "--point", "topology=distributed,N_t=4"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -216,10 +260,10 @@ def test_out_of_range_point_field_exits_1(argv, field, capsys):
 
 
 def test_parse_point_named_topology_flags():
-    point = parse_point("topology=global_cdc_dest,D=256,W=32,N_t=226,w=32")
-    assert point.output_registered and point.cdc and point.dest_registers
-    bare = parse_point("topology=global,D=8,W=8,cdc=true")
-    assert bare.cdc and not bare.output_registered
+    # the topology alone picks the register stages
+    for flag in ("output_registered", "cdc", "dest_registers"):
+        with pytest.raises(SpecError, match=f"^unknown point field '{flag}'$"):
+            parse_point(f"topology=global,D=8,W=8,{flag}=true")
 
 
 def test_parse_point_rejects_unknown_key():

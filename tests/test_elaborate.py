@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import assume, given, settings
 
 from regforge import (
     CapacityError,
-    ElaborationOptions,
+    SpecError,
     elaborate,
     elaborate_distributed,
     elaborate_global,
@@ -17,13 +18,11 @@ from regforge.spec import RegisterMapSpec, address_map, parse_spec, validate
 from conftest import make_spec
 from test_spec import spec_docs
 
-ALL_STAGES = ElaborationOptions(output_registered=True, cdc=True, dest_registers=True)
-
-
 def _mem_only(depth, width, registered):
-    spec = make_spec(n_slaves=0, regs_per_slave=0, topology="global",
+    spec = make_spec(n_slaves=0, regs_per_slave=0,
+                     topology="global_registered" if registered else "global",
                      global_depth=depth, global_width=width, addr_width=16)
-    return elaborate_global(spec, ElaborationOptions(output_registered=registered))
+    return elaborate_global(spec)
 
 
 def test_output_register_delta_is_memory_size():
@@ -35,7 +34,7 @@ def test_output_register_delta_is_memory_size():
 def test_full_routing_stage_flipflop_count():
     spec = make_spec(n_slaves=1, regs_per_slave=226, width=32, topology="global_cdc_dest",
                      global_depth=256, global_width=32, addr_width=8)
-    model = elaborate_global(spec, ALL_STAGES)
+    model = elaborate_global(spec)
     counts = structural_counts(model)
     # 256*32 storage + 256*32 output stage + 226*32*(2 sync + 1 dest)
     assert counts.flipflops == 256 * 32 * 2 + 226 * 32 * 3 == 38_080
@@ -75,14 +74,14 @@ def test_distributed_empty_slave_keeps_handshake():
 def test_global_fanout_is_widest_unregistered_bundle():
     spec = make_spec(n_slaves=1, regs_per_slave=226, width=32, topology="global",
                      global_depth=256, global_width=32, addr_width=8)
-    model = elaborate_global(spec, ElaborationOptions())
+    model = elaborate_global(spec)
     assert structural_counts(model).max_unregistered_bundle_bits == 7_232
 
 
 def test_registered_stages_keep_fanout_unregistered_at_sync():
     spec = make_spec(n_slaves=1, regs_per_slave=226, width=32, topology="global_cdc_dest",
                      global_depth=256, global_width=32, addr_width=8)
-    model = elaborate_global(spec, ALL_STAGES)
+    model = elaborate_global(spec)
     assert structural_counts(model).max_unregistered_bundle_bits == 7_232
 
 
@@ -100,15 +99,17 @@ def test_empty_spec_all_counts_zero():
 
 
 def test_dest_registers_add_exactly_target_bits():
-    spec = make_spec(n_slaves=2, regs_per_slave=16, width=32, topology="global",
-                     global_depth=64, global_width=32, addr_width=8)
-    base = ElaborationOptions(output_registered=True, cdc=True, dest_registers=False)
-    with_dest = ElaborationOptions(output_registered=True, cdc=True, dest_registers=True)
+    """global_cdc_dest puts an L-deep synchronizer chain and a destination
+    register behind each setting bit of global_registered."""
+    def spec(topology):
+        return make_spec(n_slaves=2, regs_per_slave=16, width=32, topology=topology,
+                         global_depth=64, global_width=32, addr_width=8, sync_length=3)
+
     delta = (
-        structural_counts(elaborate_global(spec, with_dest)).flipflops
-        - structural_counts(elaborate_global(spec, base)).flipflops
+        structural_counts(elaborate_global(spec("global_cdc_dest"))).flipflops
+        - structural_counts(elaborate_global(spec("global_registered"))).flipflops
     )
-    assert delta == spec.total_setting_bits == 2 * 16 * 32
+    assert delta == spec("global_cdc_dest").total_setting_bits * (3 + 1) == 2 * 16 * 32 * 4
 
 
 def test_elaboration_deterministic():
@@ -178,8 +179,17 @@ def test_capacity_errors(reg_width, depth, mem_width, message):
     spec = make_spec(n_slaves=1, regs_per_slave=8, width=reg_width, topology="global",
                      global_depth=depth, global_width=mem_width, addr_width=8)
     with pytest.raises(CapacityError) as err:
-        elaborate_global(spec, ElaborationOptions())
+        elaborate_global(spec)
     assert message in str(err.value)
+
+
+def test_elaborate_rejects_topology_outside_the_stage_table():
+    spec = make_spec(n_slaves=1, regs_per_slave=2)
+    bogus = dataclasses.replace(
+        spec, architecture=dataclasses.replace(spec.architecture, topology="bogus")
+    )
+    with pytest.raises(SpecError, match="^unknown topology 'bogus'$"):
+        elaborate(bogus)
 
 
 @pytest.mark.parametrize("topology", ["distributed", "global_cdc_dest"])

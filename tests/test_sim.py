@@ -574,11 +574,15 @@ def test_swap_refused_on_centralized_topology():
 
 
 def test_swap_refused_for_bad_fragment(distributed_spec):
-    sim = _sim(distributed_spec)
-    sim.run(ProgramScript(), 10 * CFG)
-    bad = (SettingSpec("x", 0, 64),)  # wider than the bus
-    sim.swap_module("slave0", bad)
-    assert any("bad_fragment" in e.detail for e in sim.violation_events())
+    for bad in (
+        (SettingSpec("x", 0, 64),),  # wider than the bus
+        (SettingSpec("a", 0, 8), SettingSpec("a", 1, 8)),  # one name twice
+    ):
+        sim = _sim(distributed_spec)
+        sim.run(ProgramScript(), 10 * CFG)
+        sim.swap_module("slave0", bad)
+        assert [e.detail for e in sim.violation_events()] == ["swap_refused:bad_fragment"]
+        assert sim.backdoor_read("slave0", 0) == 0
 
 
 def test_swap_in_a_huge_address_space():
