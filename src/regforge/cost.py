@@ -26,17 +26,16 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
-from .elaborate import ElaborationOptions, check_capacity
+from .elaborate import check_capacity
 from .errors import CalibrationError, SpecError, UncalibratedError
 from .fields import (
-    REQUIRED,
     ROOT,
+    format_path,
     load_document,
     objects,
     read_int,
     read_list,
     read_number,
-    read_numbers,
     read_obj,
     read_str,
     reject_unknown,
@@ -46,6 +45,7 @@ from .spec import (
     ArchChoice,
     BusGeometry,
     ClockDomain,
+    ElaborationOptions,
     RegisterMapSpec,
     SettingSpec,
     SlaveSpec,
@@ -633,10 +633,11 @@ def sweep(
     """Estimate every point of the cartesian sweep, in a stable order.
 
     A distributed design has no central memory, so its points take D = W
-    = 0 and appear once per (N_t, S), not once per swept D and W.
+    = 0 and appear once per (N_t, S), not once per swept D and W.  All
+    points are built, so checked, before the first is estimated.
     """
     memories = [(depth, width) for depth in depths for width in widths]
-    rows = []
+    points = []
     for topology in topologies:
         grid = memories
         if topology == "distributed" and memories:
@@ -644,7 +645,7 @@ def sweep(
         for depth, width in grid:
             for n_targets in targets:
                 for n_slaves in slaves:
-                    point = DesignPoint(
+                    points.append(DesignPoint(
                         topology,
                         depth=depth,
                         width=width,
@@ -652,9 +653,8 @@ def sweep(
                         target_width=target_width,
                         sync_length=sync_length,
                         slaves=n_slaves,
-                    )
-                    rows.append(SweepRow(point, estimate(point, cal)))
-    return rows
+                    ))
+    return [SweepRow(point, estimate(point, cal)) for point in points]
 
 
 _point_values = attrgetter(*(attr for attr, _ in POINT_FIELDS.values()))
@@ -714,62 +714,25 @@ def compare(point_a: DesignPoint, point_b: DesignPoint, cal: Calibration) -> Com
 # Persistence
 
 
-def _fits_to_json(coeffs: dict, residuals: dict) -> dict:
-    return {
-        family: {"coeffs": list(coeffs[family]), "residuals": residuals.get(family, [])}
-        for family in sorted(coeffs)
-    }
-
-
 def calibration_to_json(cal: Calibration) -> str:
-    doc = {
-        "register_overhead": {
-            "c_global": cal.c_global,
-            "c_distributed_per_slave": cal.c_distributed_per_slave,
-            "residuals": cal.register_residuals,
-        },
-        "alm": _fits_to_json(cal.alm_coeffs, cal.alm_residuals),
-        "alut": _fits_to_json(cal.alut_coeffs, cal.alut_residuals),
-        "fmax": {
-            "f0": cal.fmax_f0,
-            "b0": cal.fmax_b0,
-            "anchors": [list(a) for a in cal.fmax_anchors],
-            "residuals": list(cal.fmax_residuals),
-        },
-        "corpus": [
-            {"point": asdict(p), "measured": asdict(m)}
-            for p, m in cal.corpus
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The calibration's measurement corpus as a JSON document.  Every
+    other field is fitted from the corpus, so only the corpus is stored
+    and :func:`calibration_from_json` refits it."""
+    corpus = [{"point": asdict(p), "measured": asdict(m)} for p, m in cal.corpus]
+    return json.dumps({"corpus": corpus}, indent=2) + "\n"
 
 
-_CALIBRATION_KEYS = frozenset({"register_overhead", "alm", "alut", "fmax", "corpus"})
-_OVERHEAD_KEYS = frozenset({"c_global", "c_distributed_per_slave", "residuals"})
-_FIT_KEYS = frozenset({"coeffs", "residuals"})
-_FMAX_KEYS = frozenset({"f0", "b0", "anchors", "residuals"})
 _ENTRY_KEYS = frozenset({"point", "measured"})
 # the keys calibration_to_json writes for a corpus point and its measurement
 _POINT_KEYS = frozenset(asdict(DesignPoint("distributed")))
 _MEASURED_KEYS = frozenset(asdict(Measurement()))
 
 
-def _section(obj: dict, key: str, path, allowed: frozenset[str], default=REQUIRED):
+def _section(obj: dict, key: str, path, allowed: frozenset[str]):
     """The object ``obj[key]``, with no key outside ``allowed``, and its path."""
-    value = read_obj(obj, key, path, default)
+    value = read_obj(obj, key, path)
     reject_unknown(value, allowed, (path, key))
     return value, (path, key)
-
-
-def _fits(doc: dict, key: str, families: tuple[str, ...]) -> tuple[dict, dict]:
-    """Coefficients and residuals of each family in the ``alm`` or ``alut`` section."""
-    section, path = _section(doc, key, ROOT, frozenset(families), {})
-    coeffs, residuals = {}, {}
-    for family in section:
-        fit, fit_path = _section(section, family, path, _FIT_KEYS)
-        coeffs[family] = tuple(read_numbers(fit, "coeffs", fit_path, length=3))
-        residuals[family] = read_numbers(fit, "residuals", fit_path, [])
-    return coeffs, residuals
 
 
 def _corpus_entry(entry: dict, path) -> tuple[DesignPoint, Measurement]:
@@ -777,53 +740,37 @@ def _corpus_entry(entry: dict, path) -> tuple[DesignPoint, Measurement]:
     point, point_path = _section(entry, "point", path, _POINT_KEYS)
     measured, measured_path = _section(entry, "measured", path, _MEASURED_KEYS)
     numeric = {attr: read_int(point, attr, point_path) for attr, _ in POINT_FIELDS.values()}
+    topology = read_str(point, "topology", point_path)
+    try:
+        design = DesignPoint(topology, **numeric)
+    except SpecError as exc:
+        raise SpecError(str(exc), format_path(point_path)) from None
     return (
-        DesignPoint(read_str(point, "topology", point_path), **numeric),
+        design,
         Measurement(**{k: read_number(measured, k, measured_path) for k in _MEASURED_KEYS}),
     )
 
 
 def calibration_from_json(text: str) -> Calibration:
-    """Load a calibration written by :func:`calibration_to_json`; a
-    malformed or unknown field raises :class:`SpecError` with its path."""
+    """Refit the corpus of a document written by :func:`calibration_to_json`
+    with :func:`calibrate`.  A malformed or unknown field raises
+    :class:`SpecError` with its path, and a corpus that cannot be fitted
+    raises :class:`CalibrationError`."""
     doc = load_document(text)
-    reject_unknown(doc, _CALIBRATION_KEYS, ROOT)
-    overhead, overhead_path = _section(doc, "register_overhead", ROOT, _OVERHEAD_KEYS, {})
-    # the register model's families are the ALUT model's: global and distributed
-    residuals, residuals_path = _section(
-        overhead, "residuals", overhead_path, frozenset(ALUT_FAMILIES), {}
-    )
-    alm_coeffs, alm_residuals = _fits(doc, "alm", ALM_FAMILIES)
-    alut_coeffs, alut_residuals = _fits(doc, "alut", ALUT_FAMILIES)
-    fmax, fmax_path = _section(doc, "fmax", ROOT, _FMAX_KEYS, {})
-    # keyed by index, so each anchor pair is read like an object field
-    anchors = dict(enumerate(read_list(fmax, "anchors", fmax_path, [])))
-    return Calibration(
-        c_global=read_number(overhead, "c_global", overhead_path),
-        c_distributed_per_slave=read_number(overhead, "c_distributed_per_slave", overhead_path),
-        register_residuals={f: read_numbers(residuals, f, residuals_path) for f in residuals},
-        alm_coeffs=alm_coeffs,
-        alm_residuals=alm_residuals,
-        alut_coeffs=alut_coeffs,
-        alut_residuals=alut_residuals,
-        fmax_f0=read_number(fmax, "f0", fmax_path),
-        fmax_b0=read_number(fmax, "b0", fmax_path),
-        fmax_anchors=tuple(
-            tuple(read_numbers(anchors, i, (fmax_path, "anchors"), length=2)) for i in anchors
-        ),
-        fmax_residuals=tuple(read_numbers(fmax, "residuals", fmax_path, [])),
-        corpus=tuple(
-            _corpus_entry(entry, path)
-            for path, entry in objects(read_list(doc, "corpus", ROOT, []), (ROOT, "corpus"))
-        ),
-    )
+    reject_unknown(doc, frozenset({"corpus"}), ROOT)
+    return calibrate([
+        _corpus_entry(entry, path)
+        for path, entry in objects(read_list(doc, "corpus", ROOT), (ROOT, "corpus"))
+    ])
 
 
 def save_calibration(cal: Calibration, path) -> None:
+    """Write the calibration's measurement corpus to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(calibration_to_json(cal))
 
 
 def load_calibration(path) -> Calibration:
+    """The calibration fitted from the corpus saved at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         return calibration_from_json(fh.read())

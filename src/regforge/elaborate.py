@@ -26,8 +26,10 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import ClassVar, Union
 
-from .errors import CapacityError, SpecError
-from .spec import RegisterMapSpec
+from .errors import CapacityError
+# ElaborationOptions and TOPOLOGY_FLAGS live in spec, which names the
+# topologies; they stay importable from here.
+from .spec import TOPOLOGY_FLAGS, ElaborationOptions, RegisterMapSpec
 
 @dataclass(frozen=True)
 class FlipFlopBank:
@@ -71,32 +73,6 @@ class WireBundle:
 
 
 Element = Union[FlipFlopBank, Decoder, Mux, SyncChain, WireBundle]
-
-
-@dataclass(frozen=True)
-class ElaborationOptions:
-    output_registered: bool = False
-    cdc: bool = False
-    dest_registers: bool = False
-
-    @staticmethod
-    def for_topology(topology: str) -> "ElaborationOptions":
-        """The stages of ``topology``; :class:`SpecError` if it has none."""
-        options = TOPOLOGY_FLAGS.get(topology)
-        if options is None:
-            raise SpecError(f"unknown topology {topology!r}")
-        return options
-
-
-# Each topology's register stages: the one table that maps a topology to
-# them.  cdc holds exactly when dest_registers does; elaborate, emit and
-# cost rely on it.
-TOPOLOGY_FLAGS = {
-    "global": ElaborationOptions(False, False, False),
-    "global_registered": ElaborationOptions(True, False, False),
-    "global_cdc_dest": ElaborationOptions(True, True, True),
-    "distributed": ElaborationOptions(False, False, False),
-}
 
 
 @dataclass(frozen=True)

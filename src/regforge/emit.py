@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .elaborate import DesignModel, global_word_map
 from .errors import EmitError
 from .sim import ProgramScript, Simulation
-from .spec import GLOBAL_TOPOLOGIES, RegisterMapSpec, SettingSpec, SlaveSpec, address_map
+from .spec import RegisterMapSpec, SettingSpec, SlaveSpec, address_map
 
 _INDENT = "    "
 _NON_IDENT = re.compile(r"[^a-z0-9_]")
@@ -339,9 +339,6 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str,
 def emit(model: DesignModel, spec: RegisterMapSpec) -> dict[str, str]:
     """Emit the design as named SystemVerilog files (top + one per slave)."""
     topology = model.topology
-    if topology not in ("distributed",) + GLOBAL_TOPOLOGIES:
-        raise EmitError(f"unsupported topology {topology!r}")
-
     names = _names(spec)
     header = _header(spec, model)
     files: dict[str, str] = {}

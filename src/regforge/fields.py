@@ -16,6 +16,7 @@ strings at all.
 from __future__ import annotations
 
 import json
+import sys
 
 from .errors import SpecError
 
@@ -112,23 +113,16 @@ def _is_number(value) -> bool:
 
 
 def read_number(obj: dict, key: str, path):
-    """A JSON integer or real; None when the field is null or absent."""
+    """A JSON integer or real in a finite float's range; None when the
+    field is null or absent.  ``json.loads`` accepts NaN and ±Infinity."""
     value = obj.get(key)
-    if value is not None and not _is_number(value):
-        raise _wrong_type("number", value, path, key)
-    return value
-
-
-def read_numbers(obj: dict, key: str, path, default=REQUIRED, length=None) -> list:
-    """An array of JSON numbers, of exactly ``length`` of them if given."""
-    items = read_list(obj, key, path, default)
-    path = (path, key)
-    if length is not None and len(items) != length:
-        raise SpecError(f"expected {length} numbers, got {len(items)}", format_path(path))
-    for i, value in enumerate(items):
+    if value is not None:
         if not _is_number(value):
-            raise _wrong_type("number", value, path, i)
-    return items
+            raise _wrong_type("number", value, path, key)
+        # false for NaN too; an int compares exactly, without converting
+        if not abs(value) <= sys.float_info.max:
+            raise SpecError(f"expected finite number, got {value!r}", format_path((path, key)))
+    return value
 
 
 def objects(items: list, path):

@@ -30,8 +30,33 @@ from .fields import (
     reject_unknown,
 )
 
-TOPOLOGIES = ("global", "global_registered", "global_cdc_dest", "distributed")
-GLOBAL_TOPOLOGIES = ("global", "global_registered", "global_cdc_dest")
+
+@dataclass(frozen=True)
+class ElaborationOptions:
+    output_registered: bool = False
+    cdc: bool = False
+    dest_registers: bool = False
+
+    @staticmethod
+    def for_topology(topology: str) -> "ElaborationOptions":
+        """The stages of ``topology``; :class:`SpecError` if it has none."""
+        options = TOPOLOGY_FLAGS.get(topology)
+        if options is None:
+            raise SpecError(f"unknown topology {topology!r}")
+        return options
+
+
+# Each topology's register stages: the one table that names the topologies
+# and maps each to its stages.  cdc holds exactly when dest_registers does;
+# elaborate, emit and cost rely on it.
+TOPOLOGY_FLAGS = {
+    "global": ElaborationOptions(False, False, False),
+    "global_registered": ElaborationOptions(True, False, False),
+    "global_cdc_dest": ElaborationOptions(True, True, True),
+    "distributed": ElaborationOptions(False, False, False),
+}
+TOPOLOGIES = tuple(TOPOLOGY_FLAGS)
+GLOBAL_TOPOLOGIES = tuple(t for t in TOPOLOGIES if t != "distributed")
 
 
 @dataclass(frozen=True)
@@ -385,7 +410,7 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
     arch = spec.architecture
     if arch.sync_length < 1:
         report.add("sync_length", "$.architecture.sync_length", "sync_length must be >= 1")
-    elif arch.topology == "global_cdc_dest" and arch.sync_length < 2:
+    elif TOPOLOGY_FLAGS.get(arch.topology, ElaborationOptions()).cdc and arch.sync_length < 2:
         report.add(
             "sync_length",
             "$.architecture.sync_length",

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -191,19 +192,51 @@ def test_estimate_with_calibration_file(tmp_path, capsys):
     assert "7499" in capsys.readouterr().out
 
 
+def test_edited_measurement_changes_the_estimate(tmp_path, capsys):
+    # the file holds only the corpus, so an edited measurement is refitted
+    from regforge.cost import calibration_to_json, default_calibration
+
+    doc = json.loads(calibration_to_json(default_calibration()))
+    assert doc["corpus"][2]["point"]["topology"] == "distributed"
+    doc["corpus"][2]["measured"]["registers"] = 9999
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(doc))
+    assert main(["estimate", "--calibration", str(path),
+                 "--point", "topology=distributed,N_t=226,w=32"]) == 0
+    assert "registers: 9999\n" in capsys.readouterr().out
+
+
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "huge": 10**400}
+
+
 def _malformed_calibration(case):
     """The default calibration as saved, broken in the way ``case`` names."""
     from regforge.cost import calibration_to_json, default_calibration
 
-    doc = json.loads(calibration_to_json(default_calibration()))
-    if case == "missing_coeffs":
-        del doc["alm"]["distributed"]["coeffs"]
+    cal = default_calibration()
+    doc = json.loads(calibration_to_json(cal))
+    if case == "fitted_sections":  # a file saved while the fit was stored beside its corpus
+        doc.update(
+            register_overhead={"c_global": cal.c_global,
+                               "c_distributed_per_slave": cal.c_distributed_per_slave},
+            alm={f: {"coeffs": list(c)} for f, c in cal.alm_coeffs.items()},
+            alut={f: {"coeffs": list(c)} for f, c in cal.alut_coeffs.items()},
+            fmax={"f0": cal.fmax_f0, "b0": cal.fmax_b0},
+        )
+    elif case == "empty_corpus":
+        doc = {"corpus": []}
+    elif case == "no_corpus":
+        doc = {}
     elif case == "unknown_point_key":
         doc["corpus"][1]["point"]["bogus"] = 1
     elif case == "top_level_array":
         doc = [doc]
-    elif case == "fmax_not_object":
-        doc["fmax"] = [140.0]
+    elif case == "misspelled_topology":
+        doc["corpus"][0]["point"]["topology"] = "distrbuted"
+    elif case == "negative_slaves":
+        doc["corpus"][0]["point"]["slaves"] = -1
+    elif case in _NON_FINITE:  # json.dumps writes NaN, Infinity and -Infinity
+        doc["corpus"][2]["measured"]["alms"] = _NON_FINITE[case]
     else:  # a file saved while design points carried stage flags
         for entry in doc["corpus"]:
             entry["point"].update(output_registered=False, cdc=False, dest_registers=False)
@@ -213,10 +246,18 @@ def _malformed_calibration(case):
 @pytest.mark.parametrize(
     "case, message",
     [
-        ("missing_coeffs", "$.alm.distributed: missing required field 'coeffs'"),
+        ("fitted_sections", "$: unknown field(s): alm, alut, fmax, register_overhead"),
+        ("empty_corpus", "empty calibration corpus"),
+        ("no_corpus", "$: missing required field 'corpus'"),
         ("unknown_point_key", "$.corpus[1].point: unknown field(s): bogus"),
         ("top_level_array", "$: expected object, got list"),
-        ("fmax_not_object", "$.fmax: expected object, got list"),
+        ("misspelled_topology",
+         "$.corpus[0].point: point topology must be one of global, global_registered, "
+         "global_cdc_dest, distributed, got 'distrbuted'"),
+        ("negative_slaves", "$.corpus[0].point: point field S must be >= 0, got -1"),
+        *(pytest.param(case, f"$.corpus[2].measured.alms: expected finite number, got {value!r}",
+                       id=case)
+          for case, value in _NON_FINITE.items()),
         ("stage_flags",
          "$.corpus[0].point: unknown field(s): cdc, dest_registers, output_registered"),
     ],
@@ -227,6 +268,20 @@ def test_malformed_calibration_file_exits_1(case, message, tmp_path, capsys):
     assert main(["estimate", "--calibration", str(path),
                  "--point", "topology=distributed,N_t=4"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--point", "topology=bogus,N_t=4"],
+    ["sweep", "--point", "topology=global,D=256,W=32,N_t=8", "--topologies", "global,bogus"],
+])
+def test_unknown_topology_exits_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: point topology must be one of global, global_registered, "
+        "global_cdc_dest, distributed, got 'bogus'\n"
+    )
+    assert captured.out == ""
 
 
 def test_calibration_path_that_is_a_directory_exits_2(tmp_path, capsys):

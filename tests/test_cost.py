@@ -326,11 +326,36 @@ def test_calibration_json_round_trip(cal, tmp_path):
     path = tmp_path / "cal.json"
     save_calibration(cal, path)
     loaded = load_calibration(path)
+    assert loaded == cal
     assert loaded.c_global == cal.c_global
     assert loaded.alm_coeffs == cal.alm_coeffs
     assert loaded.fmax_b0 == cal.fmax_b0
     assert estimate(GMAX, loaded) == estimate(GMAX, cal)
     assert calibration_from_json(calibration_to_json(loaded)).corpus == cal.corpus
+
+
+def test_calibration_json_round_trips_perturbed_corpora():
+    rng = random.Random(20200)
+    fitted = 0
+    for _ in range(200):
+        subset = [entry for entry in DEFAULT_CORPUS if rng.random() < 0.6]
+        subset = subset or [rng.choice(DEFAULT_CORPUS)]
+        corpus = []
+        for point, measured in subset:
+            scaled = {
+                name: None if value is None else value * rng.uniform(0.9, 1.1)
+                for name, value in vars(measured).items()
+            }
+            if scaled["registers"] is not None:
+                scaled["registers"] = round(scaled["registers"])
+            corpus.append((point, Measurement(**scaled)))
+        try:
+            c = calibrate(corpus)
+        except CalibrationError:
+            continue
+        fitted += 1
+        assert calibration_from_json(calibration_to_json(c)) == c
+    assert fitted > 150
 
 
 def test_default_corpus_registers_are_consistent(cal):
