@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .sim import DEFAULT_TIMEOUT_CYCLES
 from .spec import AddressEntry, RegisterMapSpec
 
 PENDING = "pending"
 HELD = "held"
 ACCEPTED = "accepted"
-
-DEFAULT_TIMEOUT_CYCLES = 10_000
 
 
 @dataclass(frozen=True)

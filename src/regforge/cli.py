@@ -18,7 +18,7 @@ from . import cost, sim
 from .elaborate import elaborate, structural_counts
 from .emit import emit
 from .errors import RegforgeError, SpecError
-from .spec import TOPOLOGIES, load_spec, validate
+from .spec import ElaborationOptions, load_spec, validate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -89,8 +89,7 @@ def _load_calibration(path: str | None) -> cost.Calibration:
 def _load_and_validate(spec_path: str, arch: str | None):
     spec = load_spec(spec_path)
     if arch is not None:
-        if arch not in TOPOLOGIES:
-            raise SpecError(f"unknown topology {arch!r}")
+        ElaborationOptions.for_topology(arch)
         spec = dataclasses.replace(
             spec, architecture=dataclasses.replace(spec.architecture, topology=arch)
         )
@@ -129,8 +128,7 @@ def cmd_simulate(args) -> int:
     if not report.ok:
         print(str(report), file=sys.stderr)
         return EXIT_INVALID
-    model = elaborate(spec)
-    simulation = sim.build_sim(model, spec, fault_mode=args.fault_mode)
+    simulation = sim.build_sim(spec, fault_mode=args.fault_mode)
     simulation.run(script, args.until_ps)
     violations = simulation.violation_events()
     coherence = simulation.check_coherence()

@@ -41,7 +41,6 @@ from .fields import (
     reject_unknown,
 )
 from .spec import (
-    TOPOLOGIES,
     ArchChoice,
     BusGeometry,
     ClockDomain,
@@ -100,11 +99,7 @@ class DesignPoint:
     slaves: int = 1
 
     def __post_init__(self):
-        if self.topology not in TOPOLOGIES:
-            raise SpecError(
-                f"point topology must be one of {', '.join(TOPOLOGIES)}, "
-                f"got {self.topology!r}"
-            )
+        ElaborationOptions.for_topology(self.topology)
         for name, (attr, _) in POINT_FIELDS.items():
             check_point_field(name, getattr(self, attr))
 
@@ -508,21 +503,22 @@ def calibrate(datapoints: list[tuple[DesignPoint, Measurement]]) -> Calibration:
     alm_residuals: dict = {}
     for family in ALM_FAMILIES:
         pts = [
-            (p, m) for p, m in datapoints
+            (i, p, m) for i, (p, m) in enumerate(datapoints)
             if alm_family(p) == family and m.alms is not None
         ]
         if not pts:
             continue
         rows = []
-        for p, _ in pts:
-            rows.append(
-                (
-                    float(estimate_registers(p, partial)),
-                    estimate_aluts(p, partial),
-                    1.0,
-                )
-            )
-        coeffs, residuals = _lstsq_fit(rows, [m.alms for _, m in pts])
+        for i, p, _ in pts:
+            try:
+                registers = float(estimate_registers(p, partial))
+                rows.append((registers, estimate_aluts(p, partial), 1.0))
+            except UncalibratedError as exc:
+                raise CalibrationError(
+                    f"corpus entry {i} measures ALMs, which are fitted on its register "
+                    f"and ALUT estimates: {exc}"
+                ) from None
+        coeffs, residuals = _lstsq_fit(rows, [m.alms for _, _, m in pts])
         alm_coeffs[family] = coeffs
         alm_residuals[family] = residuals
 

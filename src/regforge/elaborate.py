@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import ClassVar, Union
@@ -323,16 +322,3 @@ def structural_counts(model: DesignModel) -> StructuralCounts:
         mux_bits=mux_bits,
         max_unregistered_bundle_bits=widest,
     )
-
-
-def global_word_map(addresses: Iterable[int]) -> dict[int, int]:
-    """Assign each addressed setting a word slot in the central memory.
-
-    ``addresses`` are the spec's distinct setting addresses, in any order.
-    Slots follow ascending address, the order of
-    :func:`~regforge.spec.address_map`, so the allocation is stable for a
-    given spec and the same in the emitter and the simulator.  Words
-    beyond the last allocated slot remain plain storage and are not
-    reachable over the bus.
-    """
-    return {addr: slot for slot, addr in enumerate(sorted(addresses))}

@@ -19,10 +19,10 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .elaborate import DesignModel, global_word_map
+from .elaborate import DesignModel
 from .errors import EmitError
 from .sim import ProgramScript, Simulation
-from .spec import RegisterMapSpec, SettingSpec, SlaveSpec, address_map
+from .spec import RegisterMapSpec, SettingSpec, SlaveSpec, address_map, global_word_map
 
 _INDENT = "    "
 _NON_IDENT = re.compile(r"[^a-z0-9_]")
@@ -376,7 +376,7 @@ def emit_testbench(model: DesignModel, spec: RegisterMapSpec, script: ProgramScr
     horizon = max(horizon, max((w.end_ps for w in script.busy_windows), default=0))
     horizon += 8 * cfg_period
 
-    sim = Simulation(model, spec)
+    sim = Simulation(spec)
     sim.run(script, horizon)
 
     domains, cfg_clk = names.domains, names.cfg_clk

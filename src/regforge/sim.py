@@ -1,12 +1,13 @@
-"""Deterministic multi-clock simulation of an elaborated design.
+"""Deterministic multi-clock simulation of a register-map spec.
 
-The simulator executes a host programming script against the structural
-model: configuration-clock edges run the write master, address decoder,
-and per-slave config blocks; each slave's own clock samples its settings
-while the script marks it busy.  All state updates are two-phase (next
-values computed from pre-edge state, then committed), simultaneous edges
-resolve by clock-domain index, and there is no internal randomness, so a
-given (model, script) pair always produces the same trace.
+The simulator executes a host programming script against the design the
+spec's topology, sync length and addresses describe: configuration-clock
+edges run the write master, address decoder, and per-slave config
+blocks; each slave's own clock samples its settings while the script
+marks it busy.  All state updates are two-phase (next values computed
+from pre-edge state, then committed), simultaneous edges resolve by
+clock-domain index, and there is no internal randomness, so a given
+(spec, script) pair always produces the same trace.
 
 Distributed designs honor the ready handshake: a write is only accepted
 while the addressed slave's registered ready output is high, and ready
@@ -48,8 +49,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bus import DEFAULT_TIMEOUT_CYCLES
-from .elaborate import DesignModel, global_word_map
 from .errors import SimError, SpecError
 from .fields import (
     ROOT,
@@ -61,7 +60,9 @@ from .fields import (
     read_str,
     reject_unknown,
 )
-from .spec import RegisterMapSpec, SettingSpec, parse_fragment
+from .spec import ElaborationOptions, RegisterMapSpec, SettingSpec, global_word_map, parse_fragment
+
+DEFAULT_TIMEOUT_CYCLES = 10_000
 
 WRITE_ISSUED = "write_issued"
 WRITE_ACCEPTED = "write_accepted"
@@ -183,24 +184,24 @@ def load_script(path) -> ProgramScript:
 
 
 class Simulation:
-    """Mutable simulation state for one elaborated design."""
+    """Mutable simulation state for the design one spec describes."""
 
     def __init__(
         self,
-        model: DesignModel,
         spec: RegisterMapSpec,
         *,
         fault_mode: bool = False,
         timeout_cycles: int = DEFAULT_TIMEOUT_CYCLES,
     ):
+        arch = spec.architecture
+        ElaborationOptions.for_topology(arch.topology)
         if not spec.clock_domains:
             raise SimError("cannot schedule a design with no clock domains")
-        self.model = model
         self.spec = spec
         self.fault_mode = fault_mode
         self.timeout_cycles = timeout_cycles
-        self.distributed = model.topology == "distributed"
-        self.sync_length = model.sync_length
+        self.distributed = arch.topology == "distributed"
+        self.sync_length = arch.sync_length
 
         for d in spec.clock_domains:
             if d.period_ps <= 0:
@@ -262,13 +263,8 @@ class Simulation:
         self._unsettled = set(range(len(spec.slaves))) if self.distributed else set()
         self._rotation = [0] * len(spec.slaves)
 
-        self._word_of: dict[int, int] = {}
-        self._words: dict[int, int] = {}
-        if not self.distributed:
-            self._word_of = global_word_map(decode)
-            for addr, word in self._word_of.items():
-                sidx, off = decode[addr]
-                self._words[word] = self._resets[sidx][off]
+        # memory word slots; a centralized design refuses swaps, so they stay
+        self._word_of = {} if self.distributed else global_word_map(decode)
 
         # master
         self._queue: list[ScriptWrite] = []
@@ -459,8 +455,6 @@ class Simulation:
     def _commit_config_edge(self, t: int, commits: list) -> None:
         for sidx, offset, value in commits:
             self._mem[sidx][offset] = value
-            if not self.distributed:
-                self._words[self._word_of[self._base[sidx] + offset]] = value
         # a settled slave shifts its busy bit into a chain that already
         # holds only that bit and keeps its ready, so only the others are
         # visited
@@ -612,12 +606,15 @@ class Simulation:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def state_hash(self) -> str:
+        decode = self._decode
+        words = sorted((slot, self._mem[decode[addr][0]][decode[addr][1]])
+                       for addr, slot in self._word_of.items())
         blob = repr(
             (
                 self.time_ps,
                 self.cycle,
                 [sorted(m.items()) for m in self._mem],
-                sorted(self._words.items()),
+                words,
                 list(self._ready),
                 [tuple(c) for c in self._busy_sync],
             )
@@ -636,14 +633,15 @@ class Simulation:
 
 
 def build_sim(
-    model: DesignModel,
     spec: RegisterMapSpec,
     *,
     fault_mode: bool = False,
     timeout_cycles: int = DEFAULT_TIMEOUT_CYCLES,
 ) -> Simulation:
-    """Construct a reset simulation for an elaborated model."""
-    return Simulation(model, spec, fault_mode=fault_mode, timeout_cycles=timeout_cycles)
+    """Construct a reset simulation of the design ``spec`` describes.  A
+    topology outside the stage table raises :class:`SpecError`; a spec
+    that :func:`~regforge.spec.validate` passes always builds."""
+    return Simulation(spec, fault_mode=fault_mode, timeout_cycles=timeout_cycles)
 
 
 def trace_to_csv(trace: list[TraceEvent]) -> str:

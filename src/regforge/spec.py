@@ -14,6 +14,7 @@ hex strings.  Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
@@ -38,11 +39,13 @@ class ElaborationOptions:
     dest_registers: bool = False
 
     @staticmethod
-    def for_topology(topology: str) -> "ElaborationOptions":
-        """The stages of ``topology``; :class:`SpecError` if it has none."""
+    def for_topology(topology: str, path: str | None = None) -> "ElaborationOptions":
+        """The stages of ``topology``; :class:`SpecError` at ``path`` if it has none."""
         options = TOPOLOGY_FLAGS.get(topology)
         if options is None:
-            raise SpecError(f"unknown topology {topology!r}")
+            raise SpecError(
+                f"unknown topology {topology!r}, expected one of {', '.join(TOPOLOGIES)}", path
+            )
         return options
 
 
@@ -246,11 +249,7 @@ def parse_spec(text: str) -> RegisterMapSpec:
     arch_obj = read_obj(doc, "architecture", ROOT)
     reject_unknown(arch_obj, _ARCH_KEYS, arch_path)
     topology = read_str(arch_obj, "topology", arch_path)
-    if topology not in TOPOLOGIES:
-        raise SpecError(
-            f"unknown topology {topology!r}, expected one of {', '.join(TOPOLOGIES)}",
-            "$.architecture.topology",
-        )
+    ElaborationOptions.for_topology(topology, "$.architecture.topology")
     arch = ArchChoice(
         topology=topology,
         sync_length=read_int(arch_obj, "sync_length", arch_path, 2),
@@ -320,6 +319,8 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
             f"2^{bus.slave_select_bits} select codes cannot address {len(spec.slaves)} slaves",
         )
 
+    if not spec.clock_domains:
+        report.add("no_clock_domain", "$.clock_domains", "at least one clock domain is required")
     seen_domains = set()
     for i, dom in enumerate(spec.clock_domains):
         if dom.name in seen_domains:
@@ -332,6 +333,7 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
 
     # Paths are formatted only for the diagnostics that are reported.
     words = [s.words for s in spec.slaves]
+    settings, widest = 0, 0  # for the global capacity checks
     seen_slaves = set()
     for i, slave in enumerate(spec.slaves):
         if slave.name in seen_slaves:
@@ -348,7 +350,10 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
 
         seen_offsets = set()
         seen_names = set()
+        settings += len(slave.registers)
         for j, (setting, offset, width, reset) in enumerate(slave.registers):
+            if width > widest:
+                widest = width
             if offset < 0:
                 report.add(
                     "negative_value", f"$.slaves[{i}].registers[{j}].offset", "offset must be >= 0"
@@ -419,7 +424,10 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
     if arch.topology in GLOBAL_TOPOLOGIES:
         if arch.global_depth < 0 or arch.global_width < 0:
             report.add("negative_value", "$.architecture", "global memory dimensions must be >= 0")
-        capacity = max(arch.global_depth, 0) * max(arch.global_width, 0)
+        # the first of elaborate.check_capacity's rules that fails: total
+        # bits, one memory word per setting, and the widest setting
+        depth, word = max(arch.global_depth, 0), max(arch.global_width, 0)
+        capacity = depth * word
         if capacity < spec.total_setting_bits:
             report.add(
                 "global_capacity",
@@ -427,6 +435,12 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
                 f"global memory {arch.global_depth}x{arch.global_width} holds {capacity} bits "
                 f"but settings need {spec.total_setting_bits}",
             )
+        elif settings > depth:
+            report.add("global_capacity", "$.architecture",
+                       f"settings occupy {settings} words but memory depth is {arch.global_depth}")
+        elif widest > word:
+            report.add("global_capacity", "$.architecture",
+                       f"setting width {widest} exceeds memory word width {arch.global_width}")
 
     return report
 
@@ -448,3 +462,11 @@ def address_map(spec: RegisterMapSpec) -> list[AddressEntry]:
     ]
     entries.sort(key=attrgetter("address"))
     return entries
+
+
+def global_word_map(addresses: Iterable[int]) -> dict[int, int]:
+    """The central-memory word slot of each of the spec's distinct setting
+    ``addresses``, given in any order.  Slots follow ascending address, the
+    order of :func:`address_map`, so the emitter and the simulator allocate
+    alike.  Words past the last slot are plain storage, not on the bus."""
+    return {addr: slot for slot, addr in enumerate(sorted(addresses))}

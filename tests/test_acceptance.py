@@ -125,7 +125,7 @@ def test_criterion_06_protocol_oracle_equivalence():
         spec = specs[i % len(specs)]
         n_writes = sizes[i % len(sizes)] if i % 10 == 0 else rng.randrange(20, 400)
         script, until = random_script(spec, rng, n_writes, n_windows=rng.randrange(0, 6))
-        sim = build_sim(elaborate(spec), spec)
+        sim = build_sim(spec)
         sim.run(script, until)
         mem = fold_oracle(spec, sim.trace)
         for s in spec.slaves:
@@ -156,7 +156,7 @@ def test_criterion_07_checker_not_vacuous_under_fault():
             writes=tuple(sorted(writes, key=lambda w: w.at_cycle)),
             busy_windows=(BusyWindow(slave.name, w0 * CFG, (w0 + span) * CFG),),
         )
-        sim = build_sim(elaborate(spec), spec, fault_mode=True)
+        sim = build_sim(spec, fault_mode=True)
         sim.run(script, (w0 + span + 60) * CFG)
         violations = sim.check_coherence()
         assert any(v.kind == "busy_write" for v in violations), "checker missed a hazard"
@@ -169,7 +169,7 @@ def test_criterion_08_dpr_isolation():
     rng = random.Random(0xD9)
     spec = make_spec(n_slaves=3, regs_per_slave=8, stride=8)
     for scenario in range(100):
-        sim = build_sim(elaborate(spec), spec)
+        sim = build_sim(spec)
         script, until = random_script(spec, rng, rng.randrange(10, 80))
         sim.run(script, until)
         target = rng.choice(spec.slaves)

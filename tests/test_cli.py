@@ -252,8 +252,8 @@ def _malformed_calibration(case):
         ("unknown_point_key", "$.corpus[1].point: unknown field(s): bogus"),
         ("top_level_array", "$: expected object, got list"),
         ("misspelled_topology",
-         "$.corpus[0].point: point topology must be one of global, global_registered, "
-         "global_cdc_dest, distributed, got 'distrbuted'"),
+         "$.corpus[0].point: unknown topology 'distrbuted', expected one of global, "
+         "global_registered, global_cdc_dest, distributed"),
         ("negative_slaves", "$.corpus[0].point: point field S must be >= 0, got -1"),
         *(pytest.param(case, f"$.corpus[2].measured.alms: expected finite number, got {value!r}",
                        id=case)
@@ -278,8 +278,8 @@ def test_unknown_topology_exits_1(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: point topology must be one of global, global_registered, "
-        "global_cdc_dest, distributed, got 'bogus'\n"
+        "error: unknown topology 'bogus', expected one of global, global_registered, "
+        "global_cdc_dest, distributed\n"
     )
     assert captured.out == ""
 
@@ -396,3 +396,57 @@ def test_compile_encodes_model_once(tmp_path, spec_file, monkeypatch):
     monkeypatch.setattr(importlib.import_module("regforge.elaborate"), "json", CountingJson)
     assert main(["compile", "--spec", str(spec_file), "--out", str(tmp_path / "out")]) == 0
     assert calls == [{"indent": 2}]
+
+
+GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
+
+
+@pytest.mark.parametrize("spec_name", ["cdc_global", "duo_dist"])
+def test_simulate_runs_no_elaboration(spec_name, tmp_path, monkeypatch, capsys):
+    def refuse(spec):
+        raise AssertionError("simulate elaborated the design")
+
+    monkeypatch.setattr(cli, "elaborate", refuse)
+    script = _script_file(tmp_path, {"writes": [{"at_cycle": 1, "addr": 0, "data": 3}]})
+    assert main(["simulate", "--spec", str(GOLDEN_SPECS / f"{spec_name}.json"),
+                 "--script", str(script), "--until-ps", "200000"]) == 0
+    assert capsys.readouterr().out == "violations: 0\n"
+
+
+
+def _output_args(command, tmp_path):
+    """The arguments besides ``--spec`` that ``command`` needs: an output
+    directory, or an empty script and a horizon."""
+    if command == "compile":
+        return ["--out", str(tmp_path / "out")]
+    return ["--script", str(_script_file(tmp_path, {})), "--until-ps", "1000"]
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+@pytest.mark.parametrize("edit, message", [
+    # no clock domain used to end in an IndexError traceback from emit
+    ({"clock_domains": [], "slaves": []},
+     "[no_clock_domain] $.clock_domains: at least one clock domain is required"),
+    ({"clock_domains": [], "slaves": [], "architecture": {"topology": "global"}},
+     "[no_clock_domain] $.clock_domains: at least one clock domain is required"),
+    # three settings in a two-word memory used to fail only at elaboration
+    ({"architecture": {"topology": "global", "global_depth": 2, "global_width": 32}},
+     "[global_capacity] $.architecture: settings occupy 3 words but memory depth is 2"),
+])
+def test_spec_that_cannot_build_fails_validation(command, edit, message, tmp_path, capsys):
+    doc = make_spec_doc(n_slaves=1, regs_per_slave=3, width=8)
+    doc.update(edit)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--spec", str(path), *_output_args(command, tmp_path)]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+def test_unknown_arch_override_exits_1(command, tmp_path, spec_file, capsys):
+    argv = [command, "--spec", str(spec_file), "--arch", "bogus", *_output_args(command, tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", (
+        "error: unknown topology 'bogus', expected one of global, global_registered, "
+        "global_cdc_dest, distributed\n"
+    ))

@@ -26,6 +26,7 @@ from regforge.cost import (
     POINT_FIELDS,
     DesignPoint,
     Measurement,
+    alm_family,
     calibration_from_json,
     calibration_to_json,
     compare,
@@ -135,8 +136,8 @@ def test_point_field_below_bound_raises(name):
 
 
 def test_unknown_topology_raises():
-    message = (r"^point topology must be one of global, global_registered, global_cdc_dest, "
-               r"distributed, got 'bogus'$")
+    message = (r"^unknown topology 'bogus', expected one of global, global_registered, "
+               r"global_cdc_dest, distributed$")
     with pytest.raises(SpecError, match=message):
         DesignPoint("bogus", depth=8, width=8, targets=2, target_width=4)
     with pytest.raises(SpecError, match=message):
@@ -146,7 +147,8 @@ def test_unknown_topology_raises():
 def test_calibration_json_rejects_unknown_topology(cal):
     doc = json.loads(calibration_to_json(cal))
     doc["corpus"][0]["point"]["topology"] = "distrbuted"
-    with pytest.raises(SpecError, match="got 'distrbuted'$"):
+    with pytest.raises(SpecError,
+                       match=r"^\$\.corpus\[0\]\.point: unknown topology 'distrbuted', "):
         calibration_from_json(json.dumps(doc))
 
 
@@ -351,7 +353,16 @@ def test_calibration_json_round_trips_perturbed_corpora():
             corpus.append((point, Measurement(**scaled)))
         try:
             c = calibrate(corpus)
-        except CalibrationError:
+        except CalibrationError as exc:
+            # only a memory-only ALM point can miss a measurement its fit
+            # needs: the centralized registers of DEFAULT_CORPUS[0] and [1]
+            assert not any(m.registers is not None for p, m in corpus
+                           if p.topology != "distributed")
+            index = next(i for i, (p, _) in enumerate(corpus) if alm_family(p) == "global_memory")
+            assert str(exc) == (
+                f"corpus entry {index} measures ALMs, which are fitted on its register and "
+                "ALUT estimates: no centralized register datapoints in calibration"
+            )
             continue
         fitted += 1
         assert calibration_from_json(calibration_to_json(c)) == c

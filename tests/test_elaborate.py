@@ -3,17 +3,26 @@ import json
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regforge import (
     CapacityError,
     SpecError,
+    build_sim,
     elaborate,
     elaborate_distributed,
     elaborate_global,
+    emit,
     structural_counts,
 )
-from regforge.elaborate import global_word_map
-from regforge.spec import RegisterMapSpec, address_map, parse_spec, validate
+from regforge.spec import (
+    TOPOLOGIES,
+    RegisterMapSpec,
+    address_map,
+    global_word_map,
+    parse_spec,
+    validate,
+)
 
 from conftest import make_spec
 from test_spec import spec_docs
@@ -183,12 +192,29 @@ def test_capacity_errors(reg_width, depth, mem_width, message):
     assert message in str(err.value)
 
 
+@settings(max_examples=200, deadline=None)
+@given(spec_docs(), st.sampled_from(TOPOLOGIES), st.integers(0, 8), st.integers(0, 40))
+def test_a_spec_that_validates_compiles_and_simulates(doc, topology, depth, width):
+    doc["architecture"].update(topology=topology, global_depth=depth, global_width=width)
+    spec = parse_spec(json.dumps(doc))
+    report = validate(spec)
+    try:
+        model = elaborate(spec)
+    except CapacityError:
+        assert "global_capacity" in {d.code for d in report.diagnostics}
+        return
+    if report.ok:
+        emit(model, spec)
+        build_sim(spec)
+
+
 def test_elaborate_rejects_topology_outside_the_stage_table():
     spec = make_spec(n_slaves=1, regs_per_slave=2)
     bogus = dataclasses.replace(
         spec, architecture=dataclasses.replace(spec.architecture, topology="bogus")
     )
-    with pytest.raises(SpecError, match="^unknown topology 'bogus'$"):
+    with pytest.raises(SpecError, match="^unknown topology 'bogus', expected one of global, "
+                                        "global_registered, global_cdc_dest, distributed$"):
         elaborate(bogus)
 
 

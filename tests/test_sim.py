@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,6 @@ from regforge import (
     SpecError,
     build_sim,
     check_coherence,
-    elaborate,
     parse_script,
     parse_spec,
 )
@@ -28,10 +30,6 @@ from conftest import make_spec, make_spec_doc
 from test_spec import spec_docs
 
 CFG = 10_000  # canonical configuration-clock period in the fixtures
-
-
-def _sim(spec, **kwargs):
-    return build_sim(elaborate(spec), spec, **kwargs)
 
 
 def fold_oracle(spec, trace):
@@ -83,7 +81,7 @@ def random_script(spec, rng, n_writes, n_windows=0, window_span=40):
 
 def test_edge_schedule_and_tie_order():
     spec = make_spec(periods=(10_000, 7_000), n_slaves=1, regs_per_slave=2)
-    sim = _sim(spec)
+    sim = build_sim(spec)
     # force the slave busy around the 70,000 ps common edge and write there
     script = ProgramScript(
         writes=(ScriptWrite(6, 0, 5),),
@@ -110,12 +108,12 @@ def test_backdoor_read_returns_reset_before_writes():
         """
     )
     spec = parse_spec(json.dumps(doc))
-    assert _sim(spec).backdoor_read("s", 0) == 0xA5
+    assert build_sim(spec).backdoor_read("s", 0) == 0xA5
 
 
 def test_rebuild_same_inputs_same_state_hash():
     spec = make_spec()
-    assert _sim(spec).state_hash() == _sim(spec).state_hash()
+    assert build_sim(spec).state_hash() == build_sim(spec).state_hash()
 
 
 def _overlapping_global(doc):
@@ -141,7 +139,17 @@ def test_build_sim_on_unvalidated_spec_raises_sim_error(break_doc, message):
     break_doc(doc)
     spec = parse_spec(json.dumps(doc))
     with pytest.raises(SimError, match=message):
-        _sim(spec)
+        build_sim(spec)
+
+
+def test_build_sim_rejects_topology_outside_the_stage_table():
+    spec = make_spec()
+    bogus = dataclasses.replace(
+        spec, architecture=dataclasses.replace(spec.architecture, topology="bogus")
+    )
+    with pytest.raises(SpecError, match="^unknown topology 'bogus', expected one of global, "
+                                        "global_registered, global_cdc_dest, distributed$"):
+        build_sim(bogus)
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,7 +162,7 @@ def test_one_pass_tables_match_address_map(doc, topology, rnd):
         rnd.shuffle(slave["registers"])
     doc["architecture"].update(topology=topology, global_depth=64, global_width=64)
     spec = parse_spec(json.dumps(doc))
-    sim = _sim(spec)
+    sim = build_sim(spec)
     entries = address_map(spec)
     index = {s.name: i for i, s in enumerate(spec.slaves)}
     assert sim._decode == {
@@ -168,7 +176,7 @@ def test_one_pass_tables_match_address_map(doc, topology, rnd):
 
 
 def test_unknown_slave_or_offset_raises():
-    sim = _sim(make_spec())
+    sim = build_sim(make_spec())
     with pytest.raises(SimError):
         sim.backdoor_read("ghost", 0)
     with pytest.raises(SimError):
@@ -180,7 +188,7 @@ def test_unknown_slave_or_offset_raises():
 
 
 def test_write_during_busy_window_waits_for_ready(distributed_spec):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     window = BusyWindow("slave0", 20 * CFG, 30 * CFG)
     script = ProgramScript(writes=(ScriptWrite(22, 0, 7),), busy_windows=(window,))
     sim.run(script, 60 * CFG)
@@ -191,7 +199,7 @@ def test_write_during_busy_window_waits_for_ready(distributed_spec):
 
 
 def test_random_writes_match_fold_oracle(distributed_spec, rng):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     script, until = random_script(distributed_spec, rng, 2_000)
     sim.run(script, until)
     accepted = [e for e in sim.trace if e.kind == "write_accepted"]
@@ -200,7 +208,7 @@ def test_random_writes_match_fold_oracle(distributed_spec, rng):
 
 
 def test_accepted_order_equals_issue_order(distributed_spec, rng):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     script, until = random_script(distributed_spec, rng, 300, n_windows=4)
     sim.run(script, until)
     issued = [(e.addr, e.data) for e in sim.trace if e.kind == "write_issued"]
@@ -209,7 +217,7 @@ def test_accepted_order_equals_issue_order(distributed_spec, rng):
 
 
 def test_empty_script_only_clocks(distributed_spec):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     sim.run(ProgramScript(), 50 * CFG)
     # ready leaves reset at the first configuration edge; nothing else happens
     assert sim.trace == [
@@ -241,7 +249,7 @@ def test_idle_cost_scales_with_events_not_cycles(distributed_spec, monkeypatch):
         writes=(ScriptWrite(10, 0, 1), ScriptWrite(400_000, 5, 2), ScriptWrite(999_000, 3, 3)),
         busy_windows=(BusyWindow("slave1", 500_000 * CFG, 500_020 * CFG),),
     )
-    sim = _sim(distributed_spec).run(script, 1_000_000 * CFG)
+    sim = build_sim(distributed_spec).run(script, 1_000_000 * CFG)
     assert sim.cycle == 1_000_000
     assert sum(e.kind == "write_accepted" for e in sim.trace) == 3
     assert sum(e.kind == "value_sampled" for e in sim.trace) == 29  # 20 cycles at 7,000 ps
@@ -260,7 +268,7 @@ def test_long_busy_window_steps_few_config_edges(topology, limit, monkeypatch):
         writes=(ScriptWrite(3, 2, 7),),
         busy_windows=(BusyWindow("slave0", 10 * CFG, 100_010 * CFG),),
     )
-    sim = _sim(spec).run(script, 200_000 * CFG)
+    sim = build_sim(spec).run(script, 200_000 * CFG)
     assert sim.cycle == 200_000
     assert sum(e.kind == "write_accepted" for e in sim.trace) == 1
     assert sum(e.kind == "value_sampled" for e in sim.trace) == 142_857
@@ -284,7 +292,7 @@ def _count_slave_edges(monkeypatch):
 def test_dense_writes_step_no_idle_slave_edge(distributed_spec, rng, monkeypatch):
     stepped = _count_slave_edges(monkeypatch)
     script, until = random_script(distributed_spec, rng, 300)
-    sim = _sim(distributed_spec).run(script, until)
+    sim = build_sim(distributed_spec).run(script, until)
     assert sum(e.kind == "write_accepted" for e in sim.trace) == 300
     assert len(stepped) == sum(e.kind == "value_sampled" for e in sim.trace) == 0
 
@@ -296,7 +304,7 @@ def test_window_between_config_edges_is_sampled_on_each_edge(monkeypatch):
     spec = make_spec(n_slaves=2, regs_per_slave=2, periods=(10_000, 3_000))
     writes = tuple(ScriptWrite(c, 2 + c % 2, c) for c in range(8))
     script = ProgramScript(writes, (BusyWindow("slave0", 21_000, 29_000),))
-    sim = _sim(spec).run(script, 100_000)
+    sim = build_sim(spec).run(script, 100_000)
     sampled = [e.time_ps for e in sim.trace if e.kind == "value_sampled"]
     assert sampled == stepped == [21_000, 24_000, 27_000]
     assert sum(e.kind == "write_accepted" for e in sim.trace) == 8
@@ -304,8 +312,8 @@ def test_window_between_config_edges_is_sampled_on_each_edge(monkeypatch):
 
 def test_determinism_same_script_same_trace_hash(distributed_spec, rng):
     script, until = random_script(distributed_spec, rng, 500, n_windows=3)
-    a = _sim(distributed_spec).run(script, until)
-    b = _sim(distributed_spec).run(script, until)
+    a = build_sim(distributed_spec).run(script, until)
+    b = build_sim(distributed_spec).run(script, until)
     assert a.trace_hash() == b.trace_hash()
     assert a.state_hash() == b.state_hash()
 
@@ -316,7 +324,7 @@ def test_two_phase_sample_sees_pre_edge_value():
     # write lands inside the busy-synchronizer lead-in, where the gate is
     # still open but the slave is already sampling.
     spec = make_spec(periods=(10_000, 5_000), n_slaves=1, regs_per_slave=1)
-    sim = _sim(spec)
+    sim = build_sim(spec)
     script = ProgramScript(
         writes=(ScriptWrite(4, 0, 77),),
         busy_windows=(BusyWindow("slave0", 35_000, 200_000),),
@@ -336,13 +344,13 @@ def test_two_phase_sample_sees_pre_edge_value():
 
 def test_write_data_truncated_to_width():
     spec = make_spec(width=16)
-    sim = _sim(spec)
+    sim = build_sim(spec)
     sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 0xFFFF_FFFF),)), 20 * CFG)
     assert sim.backdoor_read("slave0", 0) == 0xFFFF
 
 
 def test_unmatched_address_logs_violation(distributed_spec):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     sim.run(ProgramScript(writes=(ScriptWrite(0, 500, 1),)), 20 * CFG)
     events = sim.violation_events()
     assert len(events) == 1 and events[0].detail == "decode_no_match"
@@ -350,7 +358,7 @@ def test_unmatched_address_logs_violation(distributed_spec):
 
 def test_never_ready_times_out():
     spec = make_spec(n_slaves=1, regs_per_slave=2)
-    sim = _sim(spec, timeout_cycles=16)
+    sim = build_sim(spec, timeout_cycles=16)
     # issue after the gate has closed (past the synchronizer lead-in)
     script = ProgramScript(
         writes=(ScriptWrite(5, 0, 1),),
@@ -376,7 +384,7 @@ def test_simulator_agrees_with_pure_step_functions(rng):
         cycle += rng.randrange(0, 3)
         writes.append(ScriptWrite(cycle, rng.choice(addrs), rng.getrandbits(32)))
 
-    sim = _sim(spec)
+    sim = build_sim(spec)
     sim.run(ProgramScript(writes=tuple(writes)), (cycle + 50) * CFG)
 
     table = build_decode_table(address_map(spec), spec)
@@ -420,7 +428,7 @@ def test_simulator_agrees_with_pure_step_functions(rng):
 def test_global_design_simulates_without_handshake():
     spec = make_spec(n_slaves=2, regs_per_slave=4, topology="global_cdc_dest",
                      global_depth=16, global_width=32, addr_width=8)
-    sim = _sim(spec)
+    sim = build_sim(spec)
     sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 11), ScriptWrite(1, 4, 22))), 30 * CFG)
     assert sim.backdoor_read("slave0", 0) == 11
     assert sim.backdoor_read("slave1", 0) == 22
@@ -432,7 +440,7 @@ def test_global_design_simulates_without_handshake():
 
 
 def test_fault_mode_write_in_busy_window_flags_busy_write(distributed_spec):
-    sim = _sim(distributed_spec, fault_mode=True)
+    sim = build_sim(distributed_spec, fault_mode=True)
     script = ProgramScript(
         writes=(ScriptWrite(25, 0, 0xFFFF_FFFF),),
         busy_windows=(BusyWindow("slave0", 20 * CFG, 40 * CFG),),
@@ -444,7 +452,7 @@ def test_fault_mode_write_in_busy_window_flags_busy_write(distributed_spec):
 
 def test_fault_mode_exposes_torn_word():
     spec = make_spec(n_slaves=1, regs_per_slave=1, periods=(10_000, 3_000))
-    sim = _sim(spec, fault_mode=True)
+    sim = build_sim(spec, fault_mode=True)
     script = ProgramScript(
         writes=(ScriptWrite(25, 0, 0xFFFF_FFFF),),
         busy_windows=(BusyWindow("slave0", 20 * CFG, 40 * CFG),),
@@ -455,7 +463,7 @@ def test_fault_mode_exposes_torn_word():
 
 
 def test_gated_run_with_same_script_is_clean(distributed_spec):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     script = ProgramScript(
         writes=(ScriptWrite(25, 0, 0xFFFF_FFFF),),
         busy_windows=(BusyWindow("slave0", 20 * CFG, 40 * CFG),),
@@ -489,7 +497,7 @@ def _scripts(draw):
 @given(_scripts())
 def test_gated_simulation_is_always_coherent(script):
     spec = make_spec(n_slaves=2, regs_per_slave=4, periods=(10_000, 7_000))
-    sim = _sim(spec)
+    sim = build_sim(spec)
     sim.run(script, 4_000_000)
     assert sim.check_coherence() == []
     assert_matches_fold(spec, sim)
@@ -508,7 +516,7 @@ def _swap_regs():
 
 
 def test_swap_then_reprogram(distributed_spec):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 1234),)), 10 * CFG)
     sim.swap_module("slave0", _swap_regs())
     assert sim.backdoor_read("slave0", 0) == 9  # new reset value
@@ -530,7 +538,7 @@ def test_swap_then_reprogram(distributed_spec):
 
 
 def test_swap_isolates_other_slaves(distributed_spec):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     sim.run(ProgramScript(writes=(ScriptWrite(0, 4, 0xBEEF),)), 20 * CFG)
     before = sim.slave_state_hash("slave1")
     sim.swap_module("slave0", _swap_regs())
@@ -539,7 +547,7 @@ def test_swap_isolates_other_slaves(distributed_spec):
 
 
 def test_swap_refused_while_busy(distributed_spec):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     sim.run(
         ProgramScript(busy_windows=(BusyWindow("slave0", 0, 100 * CFG),)), 20 * CFG
     )
@@ -550,7 +558,7 @@ def test_swap_refused_while_busy(distributed_spec):
 
 
 def test_swap_refused_mid_transaction(distributed_spec):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     # hold a write against a busy slave, then swap at a time the write is
     # still in flight
     script = ProgramScript(
@@ -568,7 +576,7 @@ def test_swap_refused_mid_transaction(distributed_spec):
 def test_swap_refused_on_centralized_topology():
     spec = make_spec(n_slaves=1, regs_per_slave=4, topology="global",
                      global_depth=8, global_width=32, addr_width=8)
-    sim = _sim(spec)
+    sim = build_sim(spec)
     sim.swap_module("slave0", _swap_regs())
     assert any("topology" in e.detail for e in sim.violation_events())
 
@@ -578,7 +586,7 @@ def test_swap_refused_for_bad_fragment(distributed_spec):
         (SettingSpec("x", 0, 64),),  # wider than the bus
         (SettingSpec("a", 0, 8), SettingSpec("a", 1, 8)),  # one name twice
     ):
-        sim = _sim(distributed_spec)
+        sim = build_sim(distributed_spec)
         sim.run(ProgramScript(), 10 * CFG)
         sim.swap_module("slave0", bad)
         assert [e.detail for e in sim.violation_events()] == ["swap_refused:bad_fragment"]
@@ -586,7 +594,7 @@ def test_swap_refused_for_bad_fragment(distributed_spec):
 
 
 def test_swap_in_a_huge_address_space():
-    sim = _sim(make_spec(addr_width=1 << 40))
+    sim = build_sim(make_spec(addr_width=1 << 40))
     sim.run(ProgramScript(), 10 * CFG)
     sim.swap_module("slave0", (SettingSpec("x", 4, 8),))  # slave1's first word
     sim.swap_module("slave1", _swap_regs())
@@ -599,12 +607,12 @@ def test_write_to_a_huge_setting():
     spec = make_spec(n_slaves=1, regs_per_slave=1, width=huge, data_width=huge,
                      periods=(10_000, 3_000))
     assert validate(spec).ok
-    sim = _sim(spec)
+    sim = build_sim(spec)
     sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 0xABCD),)), 20 * CFG)
     assert sim.backdoor_read("slave0", 0) == 0xABCD
     # a write into a busy window tears at bit huge // 2, above the whole word,
     # so the fault shows as a busy write and never as a torn word
-    sim = _sim(spec, fault_mode=True)
+    sim = build_sim(spec, fault_mode=True)
     script = ProgramScript(
         writes=(ScriptWrite(25, 0, 0xFFFF_FFFF),),
         busy_windows=(BusyWindow("slave0", 20 * CFG, 40 * CFG),),
@@ -617,7 +625,7 @@ def test_write_to_a_huge_setting():
 def test_negative_write_data_raises_before_running():
     huge = 1 << 40
     spec = make_spec(n_slaves=1, regs_per_slave=1, width=huge, data_width=huge)
-    sim = _sim(spec)
+    sim = build_sim(spec)
     with pytest.raises(SimError, match="^write of negative data -1 to address 0$"):
         sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 5), ScriptWrite(3, 0, -1))), 20 * CFG)
     assert sim.trace == [] and sim.cycle == 0
@@ -627,7 +635,7 @@ def test_script_swap_applies_at_time(distributed_spec):
     script = ProgramScript(
         swaps=(SwapRequest(15 * CFG, "slave1", _swap_regs()),)
     )
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     sim.run(script, 30 * CFG)
     swap_events = [e for e in sim.trace if e.kind == "swap_performed"]
     assert swap_events and swap_events[0].time_ps == 15 * CFG
@@ -674,13 +682,13 @@ def test_parse_script_rejects_malformed(doc):
 
 
 def test_unknown_script_slave_raises(distributed_spec):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     with pytest.raises(SimError):
         sim.run(ProgramScript(busy_windows=(BusyWindow("ghost", 0, 10),)), 10 * CFG)
 
 
 def test_trace_csv_layout(distributed_spec, tmp_path):
-    sim = _sim(distributed_spec)
+    sim = build_sim(distributed_spec)
     sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 5),)), 20 * CFG)
     text = trace_to_csv(sim.trace)
     lines = text.strip().split("\n")
@@ -691,3 +699,20 @@ def test_trace_csv_layout(distributed_spec, tmp_path):
     out = tmp_path / "trace.csv"
     sim.write_trace(out)
     assert out.read_text() == text
+
+
+def test_sim_imports_only_errors_fields_and_spec():
+    """The simulator is built from the validated spec alone: it imports no
+    elaboration and not the bus oracle it is checked against."""
+    import regforge.sim
+
+    tree = ast.parse(Path(regforge.sim.__file__).read_text(encoding="utf-8"))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1 or not node.module.startswith("regforge")
+            if node.level:
+                local.add(node.module)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("regforge") for alias in node.names)
+    assert local == {"errors", "fields", "spec"}

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from regforge import build_sim, elaborate, parse_spec
+from regforge import build_sim, parse_spec
 from regforge.sim import (
     BusyWindow,
     ProgramScript,
@@ -41,10 +41,6 @@ C06_SPECS = (
 )
 
 
-def _sim(spec, **kwargs):
-    return build_sim(elaborate(spec), spec, **kwargs)
-
-
 def _spread_spec(sync_length=2):
     """Slaves spread over all three domains, including the config domain."""
     doc = make_spec_doc(n_slaves=4, regs_per_slave=3, periods=(10_000, 7_000, 3_000),
@@ -63,7 +59,7 @@ def _c06(i):
     spec = make_spec(**C06_SPECS[i % len(C06_SPECS)])
     script, until = random_script(spec, rng, rng.randrange(20, 400),
                                   n_windows=rng.randrange(0, 6))
-    return _sim(spec).run(script, until)
+    return build_sim(spec).run(script, until)
 
 
 def _global(topology, i):
@@ -73,7 +69,7 @@ def _global(topology, i):
     script, until = random_script(spec, rng, 150, n_windows=4)
     script = ProgramScript(script.writes, script.busy_windows,
                            (SwapRequest(until // 2 + 1, "slave1", _regs(2)),))
-    return _sim(spec).run(script, until)
+    return build_sim(spec).run(script, until)
 
 
 def _global_sparse(topology):
@@ -85,7 +81,7 @@ def _global_sparse(topology):
         busy_windows=(BusyWindow("slave0", 50_000, 250_000),
                       BusyWindow("slave2", 90_000_001, 90_123_457)),
     )
-    return _sim(spec).run(script, 50_000 * CFG)
+    return build_sim(spec).run(script, 50_000 * CFG)
 
 
 def _fault(i):
@@ -104,14 +100,14 @@ def _fault(i):
         busy_windows=(BusyWindow(slave.name, w0 * CFG, (w0 + span) * CFG),
                       BusyWindow(spec.slaves[0].name, 200 * CFG + 1, 230 * CFG - 1)),
     )
-    return _sim(spec, fault_mode=True).run(script, (w0 + span + 300) * CFG)
+    return build_sim(spec, fault_mode=True).run(script, (w0 + span + 300) * CFG)
 
 
 def _fault_random():
     rng = random.Random(0xFA)
     spec = make_spec(n_slaves=3, regs_per_slave=4, periods=(10_000, 7_000, 3_000))
     script, until = random_script(spec, rng, 300, n_windows=6)
-    return _sim(spec, fault_mode=True).run(script, until)
+    return build_sim(spec, fault_mode=True).run(script, until)
 
 
 def _scripted_swaps():
@@ -133,12 +129,12 @@ def _scripted_swaps():
             SwapRequest(900 * CFG, "slave2", _regs(1)),                    # after until
         ),
     )
-    return _sim(spec).run(script, 400 * CFG)
+    return build_sim(spec).run(script, 400 * CFG)
 
 
 def _swap_between_runs():
     spec = make_spec(n_slaves=3, regs_per_slave=4, periods=(10_000, 7_000, 3_000))
-    sim = _sim(spec)
+    sim = build_sim(spec)
     sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 1234), ScriptWrite(5, 5, 99)),
                           busy_windows=(BusyWindow("slave1", 0, 8 * CFG),)), 35 * CFG + 5)
     sim.swap_module("slave0", _regs(3, reset=9))
@@ -154,7 +150,7 @@ def _swap_between_runs():
 
 def _held_across_runs():
     spec = make_spec(n_slaves=2, regs_per_slave=4, periods=(10_000, 7_000))
-    sim = _sim(spec)
+    sim = build_sim(spec)
     sim.run(ProgramScript(writes=(ScriptWrite(10, 4, 77),),
                           busy_windows=(BusyWindow("slave1", 0, 500 * CFG),)), 40 * CFG)
     # the new script drops the busy window: the held write completes
@@ -169,7 +165,7 @@ def _timeout():
         writes=(ScriptWrite(5, 0, 1), ScriptWrite(6, 2, 2), ScriptWrite(9_000, 3, 3)),
         busy_windows=(BusyWindow("slave0", 0, 10_000 * CFG),),
     )
-    return _sim(spec, timeout_cycles=16).run(script, 20_000 * CFG)
+    return build_sim(spec, timeout_cycles=16).run(script, 20_000 * CFG)
 
 
 def _decode_miss():
@@ -179,7 +175,7 @@ def _decode_miss():
                 ScriptWrite(801, 5, 4)),
         busy_windows=(BusyWindow("slave1", 300 * CFG, 320 * CFG),),
     )
-    return _sim(spec).run(script, 2_000 * CFG)
+    return build_sim(spec).run(script, 2_000 * CFG)
 
 
 def _off_edge_windows(sync_length):
@@ -197,14 +193,14 @@ def _off_edge_windows(sync_length):
             BusyWindow("slave3", 150_000, 180_000),    # overlapping
         ),
     )
-    return _sim(spec).run(script, 1_000 * CFG + 4_321)
+    return build_sim(spec).run(script, 1_000 * CFG + 4_321)
 
 
 def _single_domain():
     rng = random.Random(0x51)
     spec = make_spec(n_slaves=3, regs_per_slave=4, periods=(10_000,))
     script, until = random_script(spec, rng, 120, n_windows=3)
-    return _sim(spec).run(script, until * 4)
+    return build_sim(spec).run(script, until * 4)
 
 
 def _long_window(topology, fault_mode):
@@ -218,7 +214,7 @@ def _long_window(topology, fault_mode):
                 ScriptWrite(15_000, 1, 0xC3), ScriptWrite(30_000, 0, 0x3C)),
         busy_windows=(BusyWindow("slave0", 10 * CFG + 2_500, 20_010 * CFG + 2_500),),
     )
-    return _sim(spec, fault_mode=fault_mode).run(script, 40_000 * CFG)
+    return build_sim(spec, fault_mode=fault_mode).run(script, 40_000 * CFG)
 
 
 def _sparse(cycles, topology="distributed"):
@@ -234,7 +230,7 @@ def _sparse(cycles, topology="distributed"):
         windows.append(BusyWindow(rng.choice(spec.slaves).name, start,
                                   start + rng.randrange(1, 60) * 7_000 + 11))
     swaps = (SwapRequest(rng.randrange(cycles * CFG), "slave2", _regs(2)),)
-    return _sim(spec).run(ProgramScript(writes, tuple(windows), swaps), cycles * CFG)
+    return build_sim(spec).run(ProgramScript(writes, tuple(windows), swaps), cycles * CFG)
 
 
 CASES = {
