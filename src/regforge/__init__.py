@@ -31,7 +31,6 @@ from .cost import (
     estimate_fmax,
     estimate_registers,
     load_calibration,
-    point_to_spec,
     register_overhead,
     save_calibration,
     sweep,

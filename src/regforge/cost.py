@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
-from .elaborate import check_capacity
-from .errors import CalibrationError, SpecError, UncalibratedError
+from .errors import CalibrationError, CapacityError, SpecError, UncalibratedError
 from .fields import (
     ROOT,
     format_path,
@@ -40,15 +39,7 @@ from .fields import (
     read_str,
     reject_unknown,
 )
-from .spec import (
-    ArchChoice,
-    BusGeometry,
-    ClockDomain,
-    ElaborationOptions,
-    RegisterMapSpec,
-    SettingSpec,
-    SlaveSpec,
-)
+from .spec import ElaborationOptions, capacity_problem, sync_length_problem
 
 # Short name -> (DesignPoint field, lowest value) of each numeric point
 # field: the bounds spec.validate applies to memory dimensions, setting
@@ -87,7 +78,8 @@ class DesignPoint:
     distributed); each of ``slaves`` slave blocks consumes ``targets``
     settings of ``target_width`` bits.  The topology alone picks the
     register stages.  Numeric fields below their :data:`POINT_FIELDS`
-    bound raise :class:`SpecError`.
+    bound raise :class:`SpecError`, as does a ``sync_length`` that
+    :func:`~regforge.spec.validate` rejects for the topology.
     """
 
     topology: str
@@ -102,6 +94,9 @@ class DesignPoint:
         ElaborationOptions.for_topology(self.topology)
         for name, (attr, _) in POINT_FIELDS.items():
             check_point_field(name, getattr(self, attr))
+        problem = sync_length_problem(self.topology, self.sync_length)
+        if problem is not None:
+            raise SpecError(problem)
 
 
 @dataclass(frozen=True)
@@ -136,64 +131,6 @@ class Calibration:
     fmax_anchors: tuple = ()
     fmax_residuals: tuple = ()
     corpus: tuple = ()
-
-
-# --------------------------------------------------------------------------
-# Point -> spec bridge (the structural oracle path)
-
-_CFG_PERIOD_PS = 10_000
-_SLAVE_PERIOD_PS = 7_000
-
-
-def _ceil_log2(n: int) -> int:
-    return max(1, (max(n, 1) - 1).bit_length())
-
-
-def _select_bits(slaves: int) -> int:
-    return (slaves - 1).bit_length() if slaves > 1 else 0
-
-
-def point_to_spec(point: DesignPoint) -> RegisterMapSpec:
-    """Materialize a design point as a register-map spec.
-
-    Uses a canonical two-domain clocking scheme and packed slave bases;
-    the resulting spec is what :func:`estimate_registers` and
-    :func:`widest_unregistered_bundle` are exact against.
-    """
-    width = max(point.target_width, 1)
-    offset_bits = _ceil_log2(point.targets)
-    select_bits = _select_bits(point.slaves)
-    registers = tuple(
-        SettingSpec(name=f"r{i}", offset=i, width=width) for i in range(point.targets)
-    )
-    slaves = tuple(
-        SlaveSpec(
-            name=f"slave{k}",
-            clock_domain="slave_clk",
-            base_addr=k << offset_bits,
-            registers=registers,
-        )
-        for k in range(point.slaves)
-    )
-    return RegisterMapSpec(
-        name="point",
-        bus=BusGeometry(
-            data_width=width,
-            addr_width=select_bits + offset_bits,
-            slave_select_bits=select_bits,
-        ),
-        clock_domains=(
-            ClockDomain("cfg_clk", _CFG_PERIOD_PS),
-            ClockDomain("slave_clk", _SLAVE_PERIOD_PS),
-        ),
-        slaves=slaves,
-        architecture=ArchChoice(
-            topology=point.topology,
-            sync_length=point.sync_length,
-            global_depth=point.depth,
-            global_width=point.width,
-        ),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -314,28 +251,39 @@ def _alms(point: DesignPoint, cal: Calibration, registers: int, aluts: float) ->
 # Speed heuristic
 
 
+def _ceil_log2(n: int) -> int:
+    return max(1, (max(n, 1) - 1).bit_length())
+
+
+def _select_bits(slaves: int) -> int:
+    return (slaves - 1).bit_length() if slaves > 1 else 0
+
+
 def widest_unregistered_bundle(point: DesignPoint) -> int:
     """Widest bundle of the point's elaborated design that is not
     registered at both ends, in closed form.
 
-    With ``w' = max(w, 1)`` (settings are at least one bit wide, as in
-    :func:`point_to_spec`):
+    The point's design has ``S`` slaves of ``N_t`` settings of ``w' =
+    max(w, 1)`` bits each (settings are at least one bit wide), packed at
+    slave strides of ``2^ceil_log2(N_t)`` words on a ``w'``-bit bus:
 
     * distributed: 0 when ``S*N_t == 0``, else the shared bus bundle
       ``sel + ceil_log2(N_t) + w' + 1 + S`` (address, data, write and
       one-hot select), where ``sel = bit_length(S - 1)`` for ``S > 1``
       and 0 otherwise, and ``ceil_log2`` is at least 1;
-    * centralized: raises :class:`CapacityError` exactly where
-      :func:`elaborate_global` does, then takes the larger of the memory
-      word ``W`` (the bus-to-memory bundle, present when ``D*W > 0``) and
-      the per-slave fan-out ``N_t*w'`` (present when ``S*N_t > 0``).
-      Every topology's fan-out ends at a pin mux or a synchronizer chain,
-      so it always counts; the ``mem -> mem_out`` pipe is registered at
-      both ends and never counts, so the stages do not change the width.
+    * centralized: raises :class:`CapacityError` with the message of the
+      ``global_capacity`` diagnostic that :func:`~regforge.spec.validate`
+      reports for that design (:func:`~regforge.spec.capacity_problem`),
+      then takes the larger of the memory word ``W`` (the bus-to-memory
+      bundle, present when ``D*W > 0``) and the per-slave fan-out
+      ``N_t*w'`` (present when ``S*N_t > 0``).  Every topology's fan-out
+      ends at a pin mux or a synchronizer chain, so it always counts; the
+      ``mem -> mem_out`` pipe is registered at both ends and never counts,
+      so the stages do not change the width.
 
     This equals ``structural_counts(...).max_unregistered_bundle_bits`` of
-    the design :func:`point_to_spec` builds, elaborated for the point's
-    topology; the tests hold the two against each other.
+    that design elaborated for the point's topology; the tests build the
+    design as a spec and hold the two against each other.
     """
     width = max(point.target_width, 1)
     words = point.slaves * point.targets
@@ -347,9 +295,11 @@ def widest_unregistered_bundle(point: DesignPoint) -> int:
             + point.slaves
         )
     memory_bits = point.depth * point.width
-    check_capacity(
+    problem = capacity_problem(
         point.depth, point.width, words * width, words, width if words > 0 else 0
     )
+    if problem is not None:
+        raise CapacityError(problem)
     widest = point.width if memory_bits > 0 else 0
     if words > 0:
         widest = max(widest, point.targets * width)

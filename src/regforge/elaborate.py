@@ -28,7 +28,7 @@ from typing import ClassVar, Union
 from .errors import CapacityError
 # ElaborationOptions and TOPOLOGY_FLAGS live in spec, which names the
 # topologies; they stay importable from here.
-from .spec import TOPOLOGY_FLAGS, ElaborationOptions, RegisterMapSpec
+from .spec import TOPOLOGY_FLAGS, ElaborationOptions, RegisterMapSpec, capacity_problem
 
 @dataclass(frozen=True)
 class FlipFlopBank:
@@ -138,50 +138,29 @@ class _Builder:
         return element.name
 
 
-def check_capacity(depth: int, width: int, total_bits: int, total_words: int,
-                   widest: int) -> None:
-    """Raise :class:`CapacityError` unless the settings fit a depth x width
-    memory: each setting occupies one memory word, so the total bits must
-    fit, the word count must not exceed the depth and no setting
-    (``widest`` bits; 0 when there are none) may be wider than the word.
-    """
-    if total_bits > depth * width:
-        raise CapacityError(
-            f"settings need {total_bits} bits but memory is {depth}x{width}"
-        )
-    if total_words > depth:
-        raise CapacityError(
-            f"settings occupy {total_words} words but memory depth is {depth}"
-        )
-    if widest > width:
-        raise CapacityError(
-            f"setting width {widest} exceeds memory word width {width}"
-        )
-
-
 def elaborate_global(spec: RegisterMapSpec) -> DesignModel:
     """Build the centralized-memory model with the stages of the spec's topology.
 
     Raises :class:`SpecError` for a topology not in :data:`TOPOLOGY_FLAGS`
-    and :class:`CapacityError` when the settings do not fit the memory
-    (see :func:`check_capacity`).
+    and :class:`CapacityError` with the message of the ``global_capacity``
+    diagnostic that :func:`~regforge.spec.validate` reports when the
+    settings do not fit the memory (:func:`~regforge.spec.capacity_problem`).
     """
     options = ElaborationOptions.for_topology(spec.architecture.topology)
     arch = spec.architecture
     depth, width = arch.global_depth, arch.global_width
-    check_capacity(
-        depth,
-        width,
-        spec.total_setting_bits,
-        spec.total_words,
-        max((r.width for s in spec.slaves for r in s.registers), default=0),
+    widths = spec.setting_widths
+    problem = capacity_problem(
+        depth, width, sum(widths), spec.total_words, max(widths, default=0)
     )
+    if problem is not None:
+        raise CapacityError(problem)
 
     cfg_domain = spec.clock_domains[0].name if spec.clock_domains else "cfg"
     b = _Builder()
 
     stage = None
-    if depth * width > 0:
+    if depth > 0 and width > 0:  # a negative dimension holds nothing, as in validate
         b.add(Decoder("cfg_decode", inputs=spec.bus.addr_width, terms=depth))
         stage = b.add(FlipFlopBank("mem", bits=depth * width, clock_domain=cfg_domain))
         b.add(WireBundle("bus_mem", bits=width, source="cfg_decode", sink="mem"))

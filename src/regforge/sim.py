@@ -60,7 +60,14 @@ from .fields import (
     read_str,
     reject_unknown,
 )
-from .spec import ElaborationOptions, RegisterMapSpec, SettingSpec, global_word_map, parse_fragment
+from .spec import (
+    ElaborationOptions,
+    RegisterMapSpec,
+    SettingSpec,
+    global_word_map,
+    parse_fragment,
+    register_problems,
+)
 
 DEFAULT_TIMEOUT_CYCLES = 10_000
 
@@ -228,16 +235,16 @@ class Simulation:
 
         # every per-register table in one pass over the registers
         self._widths: list[dict[int, int]] = []
-        self._resets: list[dict[int, int]] = []
+        self._mem: list[dict[int, int]] = []  # per slave, offset -> value
         decode = self._decode = {}  # address -> (slave, offset)
         initial = self.initial_resets = {}  # (slave name, address) -> reset value
         collisions = []  # (address, first slave, second slave)
         for sidx, s in enumerate(spec.slaves):
             base, name = s.base_addr, s.name
-            widths, resets = {}, {}
+            widths, mem = {}, {}
             for _setting, offset, width, reset in s.registers:
                 widths[offset] = width
-                resets[offset] = reset
+                mem[offset] = reset
                 addr = base + offset
                 if addr in decode:
                     collisions.append((addr, decode[addr][0], sidx))
@@ -245,7 +252,7 @@ class Simulation:
                     decode[addr] = (sidx, offset)
                 initial[(name, addr)] = reset
             self._widths.append(widths)
-            self._resets.append(resets)
+            self._mem.append(mem)
         if collisions:
             # the lowest shared address, with its first two slaves in spec order
             addr, first, second = min(collisions, key=lambda c: c[0])
@@ -254,7 +261,6 @@ class Simulation:
                 f"and slave {self.slave_names[second]!r}"
             )
         self._offsets = [sorted(w) for w in self._widths]
-        self._mem = [dict(r) for r in self._resets]
         self._ready = [False] * len(spec.slaves)
         self._busy_sync = [[0] * self.sync_length for _ in spec.slaves]
         # distributed slaves whose next config edge changes their chain or
@@ -533,8 +539,10 @@ class Simulation:
 
         Refused (with a ``swap_refused`` violation event) unless the
         design is distributed, the slave's ready is high, no in-flight
-        write addresses it, and the new registers fit the slave's
-        address slot with distinct offsets and names.
+        write addresses it, the new registers keep the per-register rules
+        of :func:`~regforge.spec.validate` (:func:`~regforge.spec.register_problems`)
+        and they fit the bus address space and the slave's slot, below
+        the next slave's base.
         """
         t = self.time_ps if time_ps is None else time_ps
         sidx = self._slave_idx.get(slave)
@@ -552,31 +560,23 @@ class Simulation:
         if self._current is not None and self._current[2] == sidx:
             return refuse("in_flight")
 
+        if next(register_problems(slave, registers, self.spec.bus.data_width), None):
+            return refuse("bad_fragment")
         base = self._base[sidx]
         limit = min((b for i, b in enumerate(self._base) if i != sidx and b > base),
                     default=None)
-        seen, names = set(), set()
+        addr_width = self.spec.bus.addr_width
         for reg in registers:
-            # no 1 << width: a width can be too large to shift by
-            if (
-                reg.offset < 0
-                or reg.offset in seen
-                or reg.name in names
-                or not (1 <= reg.width <= self.spec.bus.data_width)
-                or not (0 <= reg.reset_value and reg.reset_value.bit_length() <= reg.width)
-                or (base + reg.offset) >> self.spec.bus.addr_width > 0
-                or (limit is not None and base + reg.offset >= limit)
-            ):
+            # no 1 << addr_width: it can be too large to shift by
+            address = base + reg.offset
+            if address >> addr_width > 0 or (limit is not None and address >= limit):
                 return refuse("bad_fragment")
-            seen.add(reg.offset)
-            names.add(reg.name)
 
         for offset in self._widths[sidx]:
             del self._decode[base + offset]
         self._widths[sidx] = {r.offset: r.width for r in registers}
-        self._resets[sidx] = {r.offset: r.reset_value for r in registers}
         self._offsets[sidx] = sorted(self._widths[sidx])
-        self._mem[sidx] = dict(self._resets[sidx])
+        self._mem[sidx] = {r.offset: r.reset_value for r in registers}
         self._rotation[sidx] = 0
         for offset in self._widths[sidx]:
             self._decode[base + offset] = (sidx, offset)

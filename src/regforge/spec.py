@@ -128,6 +128,12 @@ class RegisterMapSpec:
     def total_words(self) -> int:
         return sum(len(s.registers) for s in self.slaves)
 
+    @property
+    def setting_widths(self) -> list[int]:
+        """The width of each setting, in spec order."""
+        # by index: reading a NamedTuple field by name is slower
+        return [r[2] for s in self.slaves for r in s.registers]
+
     def slave(self, name: str) -> SlaveSpec:
         for s in self.slaves:
             if s.name == name:
@@ -286,6 +292,73 @@ def load_spec(path) -> RegisterMapSpec:
 
 
 # --------------------------------------------------------------------------
+# Validation rules
+#
+# Each rule that a caller besides validate applies lives here once, in
+# validate's wording: elaborate and the estimator raise capacity_problem,
+# a design point raises sync_length_problem, and a module swap refuses a
+# fragment that register_problems finds fault with.
+
+
+def register_problems(slave: str, registers: Iterable[SettingSpec], data_width: int):
+    """Yield ``(index, code, field, message)`` for each per-register rule
+    that the settings ``registers`` of slave ``slave`` break, in register
+    order: offsets are >= 0 and distinct, names are distinct, a width is
+    in 1..``data_width`` and the reset value fits it.  ``field`` is the
+    suffix of the register's path that the message names, ``""`` for the
+    register itself."""
+    seen_offsets = set()
+    seen_names = set()
+    for j, (setting, offset, width, reset) in enumerate(registers):
+        if offset < 0:
+            yield j, "negative_value", ".offset", "offset must be >= 0"
+        if offset in seen_offsets:
+            yield j, "dup_offset", "", f"offset {offset} used twice in slave {slave!r}"
+        seen_offsets.add(offset)
+        if setting in seen_names:
+            yield j, "dup_setting_name", "", f"setting {setting!r} named twice in slave {slave!r}"
+        seen_names.add(setting)
+        # no 1 << width: a width can be too large to shift by
+        if width < 1 or (data_width >= 1 and width > data_width):
+            yield j, "setting_width", ".width", f"width {width} outside 1..{data_width}"
+        if reset < 0 or (width >= 1 and reset.bit_length() > width):
+            yield (j, "reset_range", ".reset_value",
+                   f"reset value {reset} does not fit in {width} bits")
+
+
+def sync_length_problem(topology: str, sync_length: int) -> str | None:
+    """The synchronizer-length rule that ``sync_length`` breaks under
+    ``topology``, or None: every chain has a stage, and a topology that
+    crosses clock domains needs two."""
+    if sync_length < 1:
+        return "sync_length must be >= 1"
+    stages = TOPOLOGY_FLAGS.get(topology)
+    if sync_length < 2 and stages is not None and stages.cdc:
+        return "sync_length must be >= 2 when crossing clock domains"
+    return None
+
+
+def capacity_problem(depth: int, width: int, total_bits: int, words: int,
+                     widest: int) -> str | None:
+    """The first capacity rule that ``words`` settings of ``total_bits``
+    bits in all, the widest ``widest`` bits (0 when there are none), break
+    in a ``depth`` x ``width`` central memory, or None when they fit.  The
+    total bits must fit, each setting takes one memory word, and no
+    setting may be wider than the word.  A negative dimension holds
+    nothing; the message names it as given."""
+    depth_words, word_bits = max(depth, 0), max(width, 0)
+    capacity = depth_words * word_bits
+    if capacity < total_bits:
+        return (f"global memory {depth}x{width} holds {capacity} bits "
+                f"but settings need {total_bits}")
+    if words > depth_words:
+        return f"settings occupy {words} words but memory depth is {depth}"
+    if widest > word_bits:
+        return f"setting width {widest} exceeds memory word width {width}"
+    return None
+
+
+# --------------------------------------------------------------------------
 # Validation
 
 
@@ -333,7 +406,6 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
 
     # Paths are formatted only for the diagnostics that are reported.
     words = [s.words for s in spec.slaves]
-    settings, widest = 0, 0  # for the global capacity checks
     seen_slaves = set()
     for i, slave in enumerate(spec.slaves):
         if slave.name in seen_slaves:
@@ -347,43 +419,10 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
             )
         if slave.base_addr < 0:
             report.add("negative_value", f"$.slaves[{i}].base_addr", "base_addr must be >= 0")
-
-        seen_offsets = set()
-        seen_names = set()
-        settings += len(slave.registers)
-        for j, (setting, offset, width, reset) in enumerate(slave.registers):
-            if width > widest:
-                widest = width
-            if offset < 0:
-                report.add(
-                    "negative_value", f"$.slaves[{i}].registers[{j}].offset", "offset must be >= 0"
-                )
-            if offset in seen_offsets:
-                report.add(
-                    "dup_offset",
-                    f"$.slaves[{i}].registers[{j}]",
-                    f"offset {offset} used twice in slave {slave.name!r}",
-                )
-            seen_offsets.add(offset)
-            if setting in seen_names:
-                report.add(
-                    "dup_setting_name",
-                    f"$.slaves[{i}].registers[{j}]",
-                    f"setting {setting!r} named twice in slave {slave.name!r}",
-                )
-            seen_names.add(setting)
-            if width < 1 or (bus.data_width >= 1 and width > bus.data_width):
-                report.add(
-                    "setting_width",
-                    f"$.slaves[{i}].registers[{j}].width",
-                    f"width {width} outside 1..{bus.data_width}",
-                )
-            if reset < 0 or (width >= 1 and reset.bit_length() > width):
-                report.add(
-                    "reset_range",
-                    f"$.slaves[{i}].registers[{j}].reset_value",
-                    f"reset value {reset} does not fit in {width} bits",
-                )
+        for j, code, where, message in register_problems(
+            slave.name, slave.registers, bus.data_width
+        ):
+            report.add(code, f"$.slaves[{i}].registers[{j}]{where}", message)
 
         if slave.base_addr >= 0 and bus.addr_width >= 1:
             end = slave.base_addr + words[i]
@@ -413,34 +452,19 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
             )
 
     arch = spec.architecture
-    if arch.sync_length < 1:
-        report.add("sync_length", "$.architecture.sync_length", "sync_length must be >= 1")
-    elif TOPOLOGY_FLAGS.get(arch.topology, ElaborationOptions()).cdc and arch.sync_length < 2:
-        report.add(
-            "sync_length",
-            "$.architecture.sync_length",
-            "sync_length must be >= 2 when crossing clock domains",
-        )
+    problem = sync_length_problem(arch.topology, arch.sync_length)
+    if problem is not None:
+        report.add("sync_length", "$.architecture.sync_length", problem)
     if arch.topology in GLOBAL_TOPOLOGIES:
         if arch.global_depth < 0 or arch.global_width < 0:
             report.add("negative_value", "$.architecture", "global memory dimensions must be >= 0")
-        # the first of elaborate.check_capacity's rules that fails: total
-        # bits, one memory word per setting, and the widest setting
-        depth, word = max(arch.global_depth, 0), max(arch.global_width, 0)
-        capacity = depth * word
-        if capacity < spec.total_setting_bits:
-            report.add(
-                "global_capacity",
-                "$.architecture",
-                f"global memory {arch.global_depth}x{arch.global_width} holds {capacity} bits "
-                f"but settings need {spec.total_setting_bits}",
-            )
-        elif settings > depth:
-            report.add("global_capacity", "$.architecture",
-                       f"settings occupy {settings} words but memory depth is {arch.global_depth}")
-        elif widest > word:
-            report.add("global_capacity", "$.architecture",
-                       f"setting width {widest} exceeds memory word width {arch.global_width}")
+        widths = spec.setting_widths
+        problem = capacity_problem(
+            arch.global_depth, arch.global_width, sum(widths), spec.total_words,
+            max(widths, default=0),
+        )
+        if problem is not None:
+            report.add("global_capacity", "$.architecture", problem)
 
     return report
 

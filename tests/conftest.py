@@ -3,13 +3,20 @@ import random
 
 import pytest
 
-from regforge import CapacityError, elaborate, parse_spec, structural_counts
+from regforge import CapacityError, elaborate, parse_spec, structural_counts, validate
 from regforge.cost import (
     DesignPoint,
     estimate_registers,
-    point_to_spec,
     register_overhead,
     widest_unregistered_bundle,
+)
+from regforge.spec import (
+    ArchChoice,
+    BusGeometry,
+    ClockDomain,
+    RegisterMapSpec,
+    SettingSpec,
+    SlaveSpec,
 )
 
 
@@ -64,34 +71,87 @@ def make_spec(**kwargs):
     return parse_spec(json.dumps(make_spec_doc(**kwargs)))
 
 
-def oracle_model(point):
-    """Elaborate a design point through the spec bridge: the structural
-    oracle for the estimator's closed forms."""
-    return elaborate(point_to_spec(point))
+_CFG_PERIOD_PS = 10_000
+_SLAVE_PERIOD_PS = 7_000
+
+
+def point_to_spec(point):
+    """Materialize a design point as a register-map spec.
+
+    Uses a canonical two-domain clocking scheme and packed slave bases;
+    the resulting spec is what the estimator's closed forms
+    (``estimate_registers``, ``widest_unregistered_bundle``) are exact
+    against.
+    """
+    width = max(point.target_width, 1)
+    offset_bits = max(1, (max(point.targets, 1) - 1).bit_length())
+    select_bits = (point.slaves - 1).bit_length() if point.slaves > 1 else 0
+    registers = tuple(
+        SettingSpec(name=f"r{i}", offset=i, width=width) for i in range(point.targets)
+    )
+    slaves = tuple(
+        SlaveSpec(
+            name=f"slave{k}",
+            clock_domain="slave_clk",
+            base_addr=k << offset_bits,
+            registers=registers,
+        )
+        for k in range(point.slaves)
+    )
+    return RegisterMapSpec(
+        name="point",
+        bus=BusGeometry(
+            data_width=width,
+            addr_width=select_bits + offset_bits,
+            slave_select_bits=select_bits,
+        ),
+        clock_domains=(
+            ClockDomain("cfg_clk", _CFG_PERIOD_PS),
+            ClockDomain("slave_clk", _SLAVE_PERIOD_PS),
+        ),
+        slaves=slaves,
+        architecture=ArchChoice(
+            topology=point.topology,
+            sync_length=point.sync_length,
+            global_depth=point.depth,
+            global_width=point.width,
+        ),
+    )
+
+
+def capacity_messages(spec):
+    """The messages of the spec's ``global_capacity`` diagnostics."""
+    return [d.message for d in validate(spec).diagnostics if d.code == "global_capacity"]
 
 
 def check_against_oracle(point, cal):
-    """Assert the register model and the bundle width equal the oracle's
-    structural counts.  For a point whose settings do not fit its memory,
-    assert the estimator raises the elaborator's CapacityError message and
-    return that message; return None for a point that fits."""
+    """Assert the register model and the bundle width equal the structural
+    counts of the point's elaborated spec.  For a point whose settings do
+    not fit its memory, assert the estimator and the elaborator both raise
+    the message of the spec's one ``global_capacity`` diagnostic and return
+    that message; return None for a point that fits, whose spec has no
+    such diagnostic."""
+    spec = point_to_spec(point)
+    capacity = capacity_messages(spec)
     try:
-        counts = structural_counts(oracle_model(point))
+        counts = structural_counts(elaborate(spec))
     except CapacityError as exc:
         with pytest.raises(CapacityError) as raised:
             widest_unregistered_bundle(point)
-        assert str(raised.value) == str(exc)
+        assert [str(raised.value)] == [str(exc)] == capacity
         return str(exc)
+    assert capacity == []
     assert estimate_registers(point, cal) - register_overhead(point, cal) == counts.flipflops
     assert widest_unregistered_bundle(point) == counts.max_unregistered_bundle_bits
     return None
 
 
-# One point per capacity check, in the elaborator's order, with its message.
+# One point per capacity rule, in the order spec.capacity_problem checks
+# them, with its message.
 OVER_CAPACITY = (
     (
         DesignPoint("global", depth=4, width=8, targets=8, target_width=8),
-        "settings need 64 bits but memory is 4x8",
+        "global memory 4x8 holds 32 bits but settings need 64",
     ),
     (
         DesignPoint("global_registered", depth=4, width=32, targets=8,

@@ -235,6 +235,9 @@ def _malformed_calibration(case):
         doc["corpus"][0]["point"]["topology"] = "distrbuted"
     elif case == "negative_slaves":
         doc["corpus"][0]["point"]["slaves"] = -1
+    elif case == "cdc_one_sync_stage":
+        assert doc["corpus"][0]["point"]["topology"] == "global_cdc_dest"
+        doc["corpus"][0]["point"]["sync_length"] = 1
     elif case in _NON_FINITE:  # json.dumps writes NaN, Infinity and -Infinity
         doc["corpus"][2]["measured"]["alms"] = _NON_FINITE[case]
     else:  # a file saved while design points carried stage flags
@@ -255,6 +258,8 @@ def _malformed_calibration(case):
          "$.corpus[0].point: unknown topology 'distrbuted', expected one of global, "
          "global_registered, global_cdc_dest, distributed"),
         ("negative_slaves", "$.corpus[0].point: point field S must be >= 0, got -1"),
+        ("cdc_one_sync_stage",
+         "$.corpus[0].point: sync_length must be >= 2 when crossing clock domains"),
         *(pytest.param(case, f"$.corpus[2].measured.alms: expected finite number, got {value!r}",
                        id=case)
           for case, value in _NON_FINITE.items()),
@@ -281,6 +286,16 @@ def test_unknown_topology_exits_1(argv, capsys):
         "error: unknown topology 'bogus', expected one of global, global_registered, "
         "global_cdc_dest, distributed\n"
     )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_cdc_point_with_one_sync_stage_exits_1(command, capsys):
+    # compile refuses such a design, so the estimator does too
+    point = "topology=global_cdc_dest,D=256,W=32,N_t=226,w=32,L=1,S=1"
+    assert main([command, "--point", point]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: sync_length must be >= 2 when crossing clock domains\n"
     assert captured.out == ""
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import regforge
 from regforge import (
     CalibrationError,
+    CapacityError,
     SpecError,
     UncalibratedError,
     calibrate,
@@ -37,15 +39,14 @@ from regforge.cost import (
     estimate_registers,
     fmax_from_bundle,
     load_calibration,
-    point_to_spec,
     save_calibration,
     sweep,
     sweep_to_csv,
     widest_unregistered_bundle,
 )
-from regforge.spec import validate
+from regforge.spec import GLOBAL_TOPOLOGIES, validate
 
-from conftest import OVER_CAPACITY, check_against_oracle
+from conftest import OVER_CAPACITY, capacity_messages, check_against_oracle, point_to_spec
 
 GMAX = DesignPoint(
     "global_cdc_dest", depth=256, width=32, targets=226, target_width=32,
@@ -144,6 +145,18 @@ def test_unknown_topology_raises():
         DesignPoint("bogus", targets=2)
 
 
+def test_cdc_point_needs_two_sync_stages():
+    message = "^sync_length must be >= 2 when crossing clock domains$"
+    with pytest.raises(SpecError, match=message):
+        DesignPoint("global_cdc_dest", depth=256, width=32, targets=226, sync_length=1)
+    # L = 1 is the lowest bound on a topology that crosses no clock domain
+    for topology in ("global", "global_registered", "distributed"):
+        assert DesignPoint(topology, sync_length=1).sync_length == 1
+    # the POINT_FIELDS bound is reported first
+    with pytest.raises(SpecError, match="^point field L must be >= 1, got 0$"):
+        DesignPoint("global_cdc_dest", sync_length=0)
+
+
 def test_calibration_json_rejects_unknown_topology(cal):
     doc = json.loads(calibration_to_json(cal))
     doc["corpus"][0]["point"]["topology"] = "distrbuted"
@@ -200,6 +213,47 @@ def test_exactness_against_structural_oracle(cal):
         else:
             misfits += 1
     assert fitted >= 150 and misfits >= 20
+
+
+def test_capacity_error_is_the_validate_diagnostic():
+    # widest_unregistered_bundle refuses exactly the centralized points whose
+    # spec validate reports as global_capacity, with the same message
+    rng = random.Random(1414)
+    refused = 0
+    for _ in range(1000):
+        point = DesignPoint(
+            rng.choice(GLOBAL_TOPOLOGIES),
+            depth=rng.randint(0, 12),
+            width=rng.randint(0, 12),
+            targets=rng.randint(0, 6),
+            target_width=rng.randint(1, 12),
+            sync_length=rng.randint(2, 3),
+            slaves=rng.randint(0, 3),
+        )
+        capacity = capacity_messages(point_to_spec(point))
+        try:
+            widest_unregistered_bundle(point)
+        except CapacityError as exc:
+            assert [str(exc)] == capacity, point
+            refused += 1
+        else:
+            assert capacity == [], point
+    assert 200 <= refused <= 800
+
+
+def test_cost_imports_only_errors_fields_and_spec():
+    """The estimator is closed-form: it elaborates nothing, and takes the
+    capacity and sync-length rules from spec."""
+    tree = ast.parse(pathlib.Path(cost.__file__).read_text(encoding="utf-8"))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1 or not node.module.startswith("regforge")
+            if node.level:
+                local.add(node.module)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("regforge") for alias in node.names)
+    assert local == {"errors", "fields", "spec"}
 
 
 def test_affine_in_each_knob(cal):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -591,6 +592,38 @@ def test_swap_refused_for_bad_fragment(distributed_spec):
         sim.swap_module("slave0", bad)
         assert [e.detail for e in sim.violation_events()] == ["swap_refused:bad_fragment"]
         assert sim.backdoor_read("slave0", 0) == 0
+
+
+def test_swap_agrees_with_validate_on_random_fragments():
+    # a swap accepts only what validate accepts in the slave's place, and
+    # refuses every fragment that breaks one of validate's register rules
+    spec = make_spec(n_slaves=3, regs_per_slave=4, width=8, data_width=8, addr_width=5)
+    assert validate(spec).ok
+    rng = random.Random(3003)
+    accepted = rule_broken = 0
+    for _ in range(600):
+        sidx = rng.randrange(len(spec.slaves))
+        fragment = []
+        for _ in range(rng.randint(0, 5)):
+            width = rng.randint(0, 9)
+            fragment.append(SettingSpec(
+                rng.choice("abcdef"), rng.randint(-1, 9), width, rng.randint(-1, 2 << width)
+            ))
+        slaves = list(spec.slaves)
+        slaves[sidx] = dataclasses.replace(slaves[sidx], registers=tuple(fragment))
+        report = validate(dataclasses.replace(spec, slaves=tuple(slaves)))
+
+        sim = build_sim(spec)
+        sim.run(ProgramScript(), 10 * CFG)  # every ready is high
+        sim.swap_module(spec.slaves[sidx].name, tuple(fragment))
+        refusals = [e.detail for e in sim.violation_events()]
+        if not refusals:
+            accepted += 1
+            assert report.ok, fragment
+        if any(d.path.startswith(f"$.slaves[{sidx}].registers") for d in report.diagnostics):
+            rule_broken += 1
+            assert refusals == ["swap_refused:bad_fragment"], fragment
+    assert accepted >= 100 and rule_broken >= 100
 
 
 def test_swap_in_a_huge_address_space():
