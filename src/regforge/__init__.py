@@ -7,16 +7,6 @@ architecture, simulate host programming over the configuration bus
 emit SystemVerilog, and estimate the FPGA resource cost.
 """
 
-from .bus import (
-    BusSignals,
-    MasterState,
-    SlaveConfigBlock,
-    WriteTransaction,
-    build_decode_table,
-    decode,
-    master_step,
-    slave_step,
-)
 from .cost import (
     Calibration,
     DesignPoint,
@@ -50,6 +40,7 @@ from .errors import (
     CalibrationError,
     CapacityError,
     EmitError,
+    InvalidSpecError,
     RegforgeError,
     SimError,
     SpecError,

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import cost, sim
 from .elaborate import elaborate, structural_counts
 from .emit import emit
-from .errors import RegforgeError, SpecError
+from .errors import InvalidSpecError, RegforgeError, SpecError
 from .spec import ElaborationOptions, load_spec, validate
 
 EXIT_OK = 0
@@ -86,22 +86,23 @@ def _load_calibration(path: str | None) -> cost.Calibration:
     return cost.load_calibration(path)
 
 
-def _load_and_validate(spec_path: str, arch: str | None):
+def _load_spec(spec_path: str, arch: str | None):
+    """The spec at ``spec_path``, with its topology replaced by ``arch``
+    when one is given."""
     spec = load_spec(spec_path)
     if arch is not None:
         ElaborationOptions.for_topology(arch)
         spec = dataclasses.replace(
             spec, architecture=dataclasses.replace(spec.architecture, topology=arch)
         )
-    report = validate(spec)
-    return spec, report
+    return spec
 
 
 def cmd_compile(args) -> int:
-    spec, report = _load_and_validate(args.spec, args.arch)
+    spec = _load_spec(args.spec, args.arch)
+    report = validate(spec)
     if not report.ok:
-        print(str(report), file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidSpecError(report)
     model = elaborate(spec)
     files = emit(model, spec)
     counts = structural_counts(model)
@@ -123,11 +124,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, report = _load_and_validate(args.spec, args.arch)
+    spec = _load_spec(args.spec, args.arch)
     script = sim.load_script(args.script)
-    if not report.ok:
-        print(str(report), file=sys.stderr)
-        return EXIT_INVALID
     simulation = sim.build_sim(spec, fault_mode=args.fault_mode)
     simulation.run(script, args.until_ps)
     violations = simulation.violation_events()
@@ -263,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InvalidSpecError as exc:
+        print(exc.report, file=sys.stderr)
+        return EXIT_INVALID
     except (RegforgeError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -18,6 +18,16 @@ class SpecError(RegforgeError):
         super().__init__(message)
 
 
+class InvalidSpecError(SpecError):
+    """A spec that :func:`~regforge.spec.validate` rejects was given where
+    only a valid one will do.  Carries the report as ``.report``; the
+    message is the report's text, one diagnostic a line."""
+
+    def __init__(self, report):
+        self.report = report
+        super().__init__(str(report))
+
+
 class CapacityError(RegforgeError):
     """Settings do not fit the configured global memory."""
 
@@ -27,7 +37,8 @@ class EmitError(RegforgeError):
 
 
 class SimError(RegforgeError):
-    """Invalid simulator request (unknown slave, address, or domain)."""
+    """Invalid simulator request: an unknown slave or offset, or a write of
+    negative data."""
 
 
 class CalibrationError(RegforgeError):

@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import SimError, SpecError
+from .errors import InvalidSpecError, SimError, SpecError
 from .fields import (
     ROOT,
     load_document,
@@ -61,12 +61,12 @@ from .fields import (
     reject_unknown,
 )
 from .spec import (
-    ElaborationOptions,
     RegisterMapSpec,
     SettingSpec,
     global_word_map,
     parse_fragment,
     register_problems,
+    validate,
 )
 
 DEFAULT_TIMEOUT_CYCLES = 10_000
@@ -200,27 +200,16 @@ class Simulation:
         fault_mode: bool = False,
         timeout_cycles: int = DEFAULT_TIMEOUT_CYCLES,
     ):
+        report = validate(spec)
+        if not report.ok:
+            raise InvalidSpecError(report)
         arch = spec.architecture
-        ElaborationOptions.for_topology(arch.topology)
-        if not spec.clock_domains:
-            raise SimError("cannot schedule a design with no clock domains")
         self.spec = spec
         self.fault_mode = fault_mode
         self.timeout_cycles = timeout_cycles
         self.distributed = arch.topology == "distributed"
         self.sync_length = arch.sync_length
-
-        for d in spec.clock_domains:
-            if d.period_ps <= 0:
-                raise SimError(f"clock domain {d.name!r} has non-positive period {d.period_ps}")
-        if self.sync_length < 1:
-            raise SimError(f"sync_length {self.sync_length} must be >= 1")
         domain_index = {d.name: i for i, d in enumerate(spec.clock_domains)}
-        for s in spec.slaves:
-            if s.clock_domain not in domain_index:
-                raise SimError(
-                    f"slave {s.name!r} names unknown clock domain {s.clock_domain!r}"
-                )
 
         self.domains = [(d.name, d.period_ps) for d in spec.clock_domains]
         self._periods = [d.period_ps for d in spec.clock_domains]
@@ -238,7 +227,6 @@ class Simulation:
         self._mem: list[dict[int, int]] = []  # per slave, offset -> value
         decode = self._decode = {}  # address -> (slave, offset)
         initial = self.initial_resets = {}  # (slave name, address) -> reset value
-        collisions = []  # (address, first slave, second slave)
         for sidx, s in enumerate(spec.slaves):
             base, name = s.base_addr, s.name
             widths, mem = {}, {}
@@ -246,20 +234,10 @@ class Simulation:
                 widths[offset] = width
                 mem[offset] = reset
                 addr = base + offset
-                if addr in decode:
-                    collisions.append((addr, decode[addr][0], sidx))
-                else:
-                    decode[addr] = (sidx, offset)
+                decode[addr] = (sidx, offset)
                 initial[(name, addr)] = reset
             self._widths.append(widths)
             self._mem.append(mem)
-        if collisions:
-            # the lowest shared address, with its first two slaves in spec order
-            addr, first, second = min(collisions, key=lambda c: c[0])
-            raise SimError(
-                f"address {addr} decodes to both slave {self.slave_names[first]!r} "
-                f"and slave {self.slave_names[second]!r}"
-            )
         self._offsets = [sorted(w) for w in self._widths]
         self._ready = [False] * len(spec.slaves)
         self._busy_sync = [[0] * self.sync_length for _ in spec.slaves]
@@ -639,8 +617,9 @@ def build_sim(
     timeout_cycles: int = DEFAULT_TIMEOUT_CYCLES,
 ) -> Simulation:
     """Construct a reset simulation of the design ``spec`` describes.  A
-    topology outside the stage table raises :class:`SpecError`; a spec
-    that :func:`~regforge.spec.validate` passes always builds."""
+    spec builds exactly when :func:`~regforge.spec.validate` passes it;
+    otherwise :class:`~regforge.errors.InvalidSpecError` carries the
+    report."""
     return Simulation(spec, fault_mode=fault_mode, timeout_cycles=timeout_cycles)
 
 

@@ -4,8 +4,8 @@ A register map is described by a JSON document naming the bus geometry,
 the clock domains, the slave blocks with their settings registers, and
 the storage architecture to compile to.  This module turns that document
 into an immutable :class:`RegisterMapSpec`, checks every structural
-invariant, and derives the flat address map that the HDL emitter and
-the reference bus model read.
+invariant, and derives the flat address map that the HDL emitter
+reads and the central-memory word slots it shares with the simulator.
 
 Integers in the document may be plain JSON numbers or ``"0x"``-prefixed
 hex strings.  Unknown keys are rejected so typos fail loudly.
@@ -40,12 +40,11 @@ class ElaborationOptions:
 
     @staticmethod
     def for_topology(topology: str, path: str | None = None) -> "ElaborationOptions":
-        """The stages of ``topology``; :class:`SpecError` at ``path`` if it has none."""
+        """The stages of ``topology``; :class:`SpecError` at ``path`` with
+        :func:`topology_problem`'s message if it has none."""
         options = TOPOLOGY_FLAGS.get(topology)
         if options is None:
-            raise SpecError(
-                f"unknown topology {topology!r}, expected one of {', '.join(TOPOLOGIES)}", path
-            )
+            raise SpecError(topology_problem(topology), path)
         return options
 
 
@@ -295,9 +294,18 @@ def load_spec(path) -> RegisterMapSpec:
 # Validation rules
 #
 # Each rule that a caller besides validate applies lives here once, in
-# validate's wording: elaborate and the estimator raise capacity_problem,
+# validate's wording: ElaborationOptions.for_topology raises
+# topology_problem, elaborate and the estimator raise capacity_problem,
 # a design point raises sync_length_problem, and a module swap refuses a
 # fragment that register_problems finds fault with.
+
+
+def topology_problem(topology: str) -> str | None:
+    """Why ``topology`` names no design, or None when it is in the stage
+    table."""
+    if topology in TOPOLOGY_FLAGS:
+        return None
+    return f"unknown topology {topology!r}, expected one of {', '.join(TOPOLOGIES)}"
 
 
 def register_problems(slave: str, registers: Iterable[SettingSpec], data_width: int):
@@ -452,6 +460,9 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
             )
 
     arch = spec.architecture
+    problem = topology_problem(arch.topology)
+    if problem is not None:
+        report.add("unknown_topology", "$.architecture.topology", problem)
     problem = sync_length_problem(arch.topology, arch.sync_length)
     if problem is not None:
         report.add("sync_length", "$.architecture.sync_length", problem)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .sim import DEFAULT_TIMEOUT_CYCLES
-from .spec import AddressEntry, RegisterMapSpec
+from regforge.sim import DEFAULT_TIMEOUT_CYCLES
+from regforge.spec import AddressEntry, RegisterMapSpec
 
 PENDING = "pending"
 HELD = "held"

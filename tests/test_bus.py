@@ -1,6 +1,8 @@
 import random
 
-from regforge.bus import (
+from regforge.spec import address_map
+
+from bus_oracle import (
     ACCEPTED,
     BusSignals,
     MasterState,
@@ -11,8 +13,6 @@ from regforge.bus import (
     master_step,
     slave_step,
 )
-from regforge.spec import address_map
-
 from conftest import make_spec
 
 

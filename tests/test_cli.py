@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from regforge import cli
+from regforge import cli, sim
 from regforge.cli import main, parse_point, parse_sweep_range
 from regforge.errors import SpecError
+from regforge.spec import validate
 
 from conftest import make_spec_doc
 
@@ -455,6 +456,25 @@ def test_spec_that_cannot_build_fails_validation(command, edit, message, tmp_pat
     path.write_text(json.dumps(doc))
     assert main([command, "--spec", str(path), *_output_args(command, tmp_path)]) == 1
     assert capsys.readouterr() == ("", message + "\n")
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+@pytest.mark.parametrize("edit, status", [({}, 0), ({"clock_domains": [], "slaves": []}, 1)])
+def test_command_validates_spec_once(command, edit, status, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec.name)
+        return validate(spec)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    monkeypatch.setattr(sim, "validate", counted)
+    doc = make_spec_doc(n_slaves=1, regs_per_slave=3, width=8)
+    doc.update(edit)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--spec", str(path), *_output_args(command, tmp_path)]) == status
+    assert calls == ["testdes"]
 
 
 @pytest.mark.parametrize("command", ["compile", "simulate"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regforge import (
+    InvalidSpecError,
     SimError,
     SpecError,
     build_sim,
@@ -125,22 +126,72 @@ def _overlapping_global(doc):
 @pytest.mark.parametrize(
     "break_doc, message",
     [
-        (lambda doc: doc["slaves"][0].update(clock_domain="nowhere"), "unknown clock domain"),
-        (lambda doc: doc["clock_domains"][1].update(period_ps=0), "non-positive"),
-        (lambda doc: doc["slaves"][1].update(base_addr=0),
-         "^address 0 decodes to both slave 'slave0' and slave 'slave1'$"),
-        (_overlapping_global,
-         "^address 2 decodes to both slave 'slave0' and slave 'slave1'$"),
-        (lambda doc: doc["architecture"].update(sync_length=0), "^sync_length 0 must be >= 1$"),
-        (lambda doc: doc["architecture"].update(sync_length=-1), "^sync_length -1 must be >= 1$"),
+        pytest.param(
+            lambda doc: doc["slaves"][0].update(clock_domain="nowhere"),
+            "[unknown_clock_domain] $.slaves[0].clock_domain: slave 'slave0' references "
+            "undefined clock domain 'nowhere'",
+            id="unknown_clock_domain"),
+        pytest.param(
+            lambda doc: doc["clock_domains"][1].update(period_ps=0),
+            "[domain_period] $.clock_domains[1].period_ps: period_ps must be > 0",
+            id="zero_period"),
+        pytest.param(
+            lambda doc: doc["slaves"][1].update(base_addr=0),
+            "[addr_overlap] $.slaves: slave 'slave0' words [0, 4) overlap slave 'slave1' at 0",
+            id="shared_address"),
+        pytest.param(
+            _overlapping_global,
+            "[addr_overlap] $.slaves: slave 'slave0' words [0, 4) overlap slave 'slave1' at 2",
+            id="shared_global_address"),
+        pytest.param(
+            lambda doc: doc["architecture"].update(sync_length=0),
+            "[sync_length] $.architecture.sync_length: sync_length must be >= 1",
+            id="sync_length_0"),
+        pytest.param(
+            lambda doc: doc["architecture"].update(sync_length=-1),
+            "[sync_length] $.architecture.sync_length: sync_length must be >= 1",
+            id="sync_length_-1"),
+        # the simulator once built these, though validate rejects each
+        pytest.param(
+            lambda doc: doc["bus"].update(slave_select_bits=0),
+            "[bus_geometry] $.bus.slave_select_bits: 2^0 select codes cannot address 2 slaves",
+            id="no_select_bits"),
+        pytest.param(
+            lambda doc: doc["slaves"][0]["registers"][1].update(name="r0"),
+            "[dup_setting_name] $.slaves[0].registers[1]: setting 'r0' named twice in "
+            "slave 'slave0'",
+            id="dup_setting_name"),
+        pytest.param(
+            lambda doc: doc["slaves"][0]["registers"][0].update(width=4, reset_value=99),
+            "[reset_range] $.slaves[0].registers[0].reset_value: reset value 99 does not "
+            "fit in 4 bits",
+            id="reset_too_wide"),
+        pytest.param(
+            lambda doc: doc["architecture"].update(
+                topology="global", global_depth=1, global_width=8),
+            "[global_capacity] $.architecture: global memory 1x8 holds 8 bits but settings "
+            "need 256",
+            id="over_capacity"),
+        pytest.param(
+            lambda doc: doc["architecture"].update(
+                topology="global_cdc_dest", sync_length=1, global_depth=64, global_width=32),
+            "[sync_length] $.architecture.sync_length: sync_length must be >= 2 when "
+            "crossing clock domains",
+            id="cdc_one_sync_stage"),
+        pytest.param(
+            lambda doc: doc["bus"].update(addr_width=2),
+            "[addr_range] $.slaves[1]: slave 'slave1' range [4, 8) exceeds 2-bit address space",
+            id="narrow_address"),
     ],
 )
-def test_build_sim_on_unvalidated_spec_raises_sim_error(break_doc, message):
+def test_build_sim_on_unvalidated_spec_raises_invalid_spec_error(break_doc, message):
     doc = make_spec_doc()
     break_doc(doc)
     spec = parse_spec(json.dumps(doc))
-    with pytest.raises(SimError, match=message):
+    with pytest.raises(InvalidSpecError) as info:
         build_sim(spec)
+    assert str(info.value) == message
+    assert info.value.report == validate(spec)
 
 
 def test_build_sim_rejects_topology_outside_the_stage_table():
@@ -148,9 +199,27 @@ def test_build_sim_rejects_topology_outside_the_stage_table():
     bogus = dataclasses.replace(
         spec, architecture=dataclasses.replace(spec.architecture, topology="bogus")
     )
-    with pytest.raises(SpecError, match="^unknown topology 'bogus', expected one of global, "
-                                        "global_registered, global_cdc_dest, distributed$"):
+    with pytest.raises(InvalidSpecError, match=(
+        r"^\[unknown_topology\] \$\.architecture\.topology: unknown topology 'bogus', "
+        "expected one of global, global_registered, global_cdc_dest, distributed$"
+    )):
         build_sim(bogus)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec_docs(force_valid=False), st.sampled_from(TOPOLOGIES), st.integers(0, 8),
+       st.integers(0, 8), st.integers(0, 3))
+def test_build_sim_builds_exactly_what_validate_passes(doc, topology, depth, width, sync_length):
+    doc["architecture"].update(topology=topology, global_depth=depth, global_width=width,
+                               sync_length=sync_length)
+    spec = parse_spec(json.dumps(doc))
+    report = validate(spec)
+    if report.ok:
+        build_sim(spec)
+        return
+    with pytest.raises(InvalidSpecError) as info:
+        build_sim(spec)
+    assert info.value.report == report
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,8 +443,8 @@ def test_never_ready_times_out():
 def test_simulator_agrees_with_pure_step_functions(rng):
     # same stimulus through the cycle simulator and through a harness
     # composed of the pure master/slave step functions
-    from regforge.bus import MasterState, SlaveConfigBlock, WriteTransaction
-    from regforge.bus import build_decode_table, master_step, slave_step
+    from bus_oracle import MasterState, SlaveConfigBlock, WriteTransaction
+    from bus_oracle import build_decode_table, master_step, slave_step
 
     spec = make_spec(n_slaves=3, regs_per_slave=4, periods=(10_000, 7_000))
     writes = []
