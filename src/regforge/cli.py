@@ -18,7 +18,7 @@ from . import cost, sim
 from .elaborate import elaborate, structural_counts
 from .emit import emit
 from .errors import InvalidSpecError, RegforgeError, SpecError
-from .spec import ElaborationOptions, load_spec, validate
+from .spec import load_spec, validate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -88,10 +88,9 @@ def _load_calibration(path: str | None) -> cost.Calibration:
 
 def _load_spec(spec_path: str, arch: str | None):
     """The spec at ``spec_path``, with its topology replaced by ``arch``
-    when one is given."""
+    when one is given; ``validate`` judges the replacement."""
     spec = load_spec(spec_path)
     if arch is not None:
-        ElaborationOptions.for_topology(arch)
         spec = dataclasses.replace(
             spec, architecture=dataclasses.replace(spec.architecture, topology=arch)
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Union
 
@@ -51,7 +51,6 @@ class Mux:
     kind: ClassVar[str] = "mux"
     name: str
     width: int
-    ways: int
 
 
 @dataclass(frozen=True)
@@ -84,17 +83,11 @@ class StructuralCounts:
 
 @dataclass(frozen=True)
 class DesignModel:
+    """A design's structure: its elements and its topology, nothing that
+    either already gives (the stages are ``TOPOLOGY_FLAGS[topology]``)."""
+
     elements: tuple[Element, ...]
     topology: str
-    options: ElaborationOptions
-    sync_length: int
-    slave_elements: dict[str, tuple[str, ...]]
-
-    def element(self, name: str) -> Element:
-        for el in self.elements:
-            if el.name == name:
-                return el
-        raise KeyError(name)
 
     def to_json(self) -> str:
         """Canonical dump: elements sorted by (kind, name), stable fields.
@@ -113,29 +106,11 @@ class DesignModel:
             {"kind": el.kind, **vars(el)}
             for el in sorted(self.elements, key=lambda e: (e.kind, e.name))
         ]
-        doc = {
-            "topology": self.topology,
-            "options": asdict(self.options),
-            "sync_length": self.sync_length,
-            "elements": items,
-            "slave_elements": {k: list(v) for k, v in sorted(self.slave_elements.items())},
-        }
+        doc = {"topology": self.topology, "elements": items}
         return json.dumps(doc, indent=2) + "\n"
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
-
-class _Builder:
-    def __init__(self):
-        self.elements: list[Element] = []
-        self.slave_elements: dict[str, list[str]] = {}
-
-    def add(self, element: Element, slave: str | None = None) -> str:
-        self.elements.append(element)
-        if slave is not None:
-            self.slave_elements.setdefault(slave, []).append(element.name)
-        return element.name
 
 
 def elaborate_global(spec: RegisterMapSpec) -> DesignModel:
@@ -157,55 +132,42 @@ def elaborate_global(spec: RegisterMapSpec) -> DesignModel:
         raise CapacityError(problem)
 
     cfg_domain = spec.clock_domains[0].name if spec.clock_domains else "cfg"
-    b = _Builder()
+    elements: list[Element] = []
 
     stage = None
     if depth > 0 and width > 0:  # a negative dimension holds nothing, as in validate
-        b.add(Decoder("cfg_decode", inputs=spec.bus.addr_width, terms=depth))
-        stage = b.add(FlipFlopBank("mem", bits=depth * width, clock_domain=cfg_domain))
-        b.add(WireBundle("bus_mem", bits=width, source="cfg_decode", sink="mem"))
+        stage = "mem_out" if options.output_registered else "mem"
+        elements += [
+            Decoder("cfg_decode", inputs=spec.bus.addr_width, terms=depth),
+            FlipFlopBank("mem", bits=depth * width, clock_domain=cfg_domain),
+            WireBundle("bus_mem", bits=width, source="cfg_decode", sink="mem"),
+        ]
         if options.output_registered:
-            out = b.add(FlipFlopBank("mem_out", bits=depth * width, clock_domain=cfg_domain))
-            b.add(WireBundle("pipe_mem_out", bits=depth * width, source="mem", sink="mem_out"))
-            stage = out
+            elements += [
+                FlipFlopBank("mem_out", bits=depth * width, clock_domain=cfg_domain),
+                WireBundle("pipe_mem_out", bits=depth * width, source="mem", sink="mem_out"),
+            ]
 
     for slave in spec.slaves:
         bits = slave.setting_bits
         name = slave.name
-        b.slave_elements.setdefault(name, [])
         if bits == 0:
             continue
         if options.cdc:
-            sync = b.add(
+            elements += [
                 SyncChain(f"{name}.sync", bits=bits, length=arch.sync_length),
-                slave=name,
-            )
-            b.add(
-                WireBundle(f"{name}.fanout", bits=bits, source=stage, sink=sync),
-                slave=name,
-            )
-            dest = b.add(
+                WireBundle(f"{name}.fanout", bits=bits, source=stage, sink=f"{name}.sync"),
                 FlipFlopBank(f"{name}.dest", bits=bits, clock_domain=slave.clock_domain),
-                slave=name,
-            )
-            b.add(
-                WireBundle(f"{name}.pipe_dest", bits=bits, source=sync, sink=dest),
-                slave=name,
-            )
+                WireBundle(f"{name}.pipe_dest", bits=bits, source=f"{name}.sync",
+                           sink=f"{name}.dest"),
+            ]
         else:
-            pins = b.add(Mux(f"{name}.pins", width=bits, ways=1), slave=name)
-            b.add(
-                WireBundle(f"{name}.fanout", bits=bits, source=stage, sink=pins),
-                slave=name,
-            )
+            elements += [
+                Mux(f"{name}.pins", width=bits),
+                WireBundle(f"{name}.fanout", bits=bits, source=stage, sink=f"{name}.pins"),
+            ]
 
-    return DesignModel(
-        elements=tuple(b.elements),
-        topology=spec.architecture.topology,
-        options=options,
-        sync_length=arch.sync_length,
-        slave_elements={k: tuple(v) for k, v in b.slave_elements.items()},
-    )
+    return DesignModel(tuple(elements), arch.topology)
 
 
 def elaborate_distributed(spec: RegisterMapSpec) -> DesignModel:
@@ -220,43 +182,27 @@ def elaborate_distributed(spec: RegisterMapSpec) -> DesignModel:
     cfg_domain = spec.clock_domains[0].name if spec.clock_domains else "cfg"
     bus_bits = spec.bus.addr_width + spec.bus.data_width + 1 + len(spec.slaves)
     total_words = spec.total_words
-    b = _Builder()
+    elements: list[Element] = []
 
     if total_words > 0:
-        b.add(Decoder("cfg_decode", inputs=spec.bus.addr_width, terms=total_words))
+        elements.append(Decoder("cfg_decode", inputs=spec.bus.addr_width, terms=total_words))
 
     for slave in spec.slaves:
+        name = slave.name
         bits = slave.setting_bits
-        bank = None
         if bits > 0:
-            bank = b.add(
-                FlipFlopBank(f"{slave.name}.cfg", bits=bits, clock_domain=cfg_domain),
-                slave=slave.name,
-            )
-        ready = b.add(
-            FlipFlopBank(f"{slave.name}.ready", bits=1, clock_domain=cfg_domain),
-            slave=slave.name,
-        )
-        b.add(
-            SyncChain(f"{slave.name}.busy_sync", bits=1, length=arch.sync_length),
-            slave=slave.name,
-        )
+            elements.append(FlipFlopBank(f"{name}.cfg", bits=bits, clock_domain=cfg_domain))
+        elements += [
+            FlipFlopBank(f"{name}.ready", bits=1, clock_domain=cfg_domain),
+            SyncChain(f"{name}.busy_sync", bits=1, length=arch.sync_length),
+        ]
         if total_words > 0:
-            b.add(
-                WireBundle(
-                    f"{slave.name}.bus", bits=bus_bits, source="cfg_decode",
-                    sink=bank if bank is not None else ready,
-                ),
-                slave=slave.name,
-            )
+            elements.append(WireBundle(
+                f"{name}.bus", bits=bus_bits, source="cfg_decode",
+                sink=f"{name}.cfg" if bits > 0 else f"{name}.ready",
+            ))
 
-    return DesignModel(
-        elements=tuple(b.elements),
-        topology="distributed",
-        options=ElaborationOptions.for_topology("distributed"),
-        sync_length=arch.sync_length,
-        slave_elements={k: tuple(v) for k, v in b.slave_elements.items()},
-    )
+    return DesignModel(tuple(elements), "distributed")
 
 
 def elaborate(spec: RegisterMapSpec) -> DesignModel:
@@ -287,7 +233,7 @@ def structural_counts(model: DesignModel) -> StructuralCounts:
         elif isinstance(el, Decoder):
             decode_terms += el.terms
         elif isinstance(el, Mux):
-            mux_bits += el.width * el.ways
+            mux_bits += el.width
         elif isinstance(el, WireBundle):
             registered = (
                 kinds.get(el.source) == "flipflop_bank"

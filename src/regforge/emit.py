@@ -22,7 +22,14 @@ from typing import NamedTuple
 from .elaborate import DesignModel
 from .errors import EmitError
 from .sim import ProgramScript, Simulation
-from .spec import RegisterMapSpec, SettingSpec, SlaveSpec, address_map, global_word_map
+from .spec import (
+    ElaborationOptions,
+    RegisterMapSpec,
+    SettingSpec,
+    SlaveSpec,
+    address_map,
+    global_word_map,
+)
 
 _INDENT = "    "
 _NON_IDENT = re.compile(r"[^a-z0-9_]")
@@ -207,15 +214,20 @@ def _distributed_slave(spec: RegisterMapSpec, header: str, slave: SlaveSpec,
     return _endmodule(lines)
 
 
-def _global_slave(spec: RegisterMapSpec, model: DesignModel, header: str,
+def _global_slave(spec: RegisterMapSpec, stages: ElaborationOptions, header: str,
                   slave: SlaveSpec, ids: _Slave) -> str:
+    """A centralized slave: its settings bus, behind a synchronizer chain
+    and a destination register under ``cdc``.  A slave without settings
+    keeps its module and file but has only a clock."""
     bits = slave.setting_bits
     sync_len = spec.architecture.sync_length
 
-    ports = ["input  logic clk", f"input  logic {_range(bits)}settings_in"]
+    ports = ["input  logic clk"]
+    if bits:
+        ports.append(f"input  logic {_range(bits)}settings_in")
     lines = _module(header, ids.module, ports + _setting_ports(ids, ""))
     source = "settings_in"
-    if model.options.cdc:
+    if bits and stages.cdc:
         for stage in range(sync_len):
             lines.append(f"{_INDENT}logic {_range(bits)}sync_{stage};")
         lines.append("")
@@ -269,11 +281,10 @@ def _distributed_top(spec: RegisterMapSpec, header: str, names: _Names) -> str:
     return _endmodule(lines)
 
 
-def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str,
+def _global_top(spec: RegisterMapSpec, stages: ElaborationOptions, header: str,
                 names: _Names) -> str:
     bus = spec.bus
     arch = spec.architecture
-    opts = model.options
     depth, width = arch.global_depth, arch.global_width
     word_of = global_word_map(entry.address for entry in address_map(spec))
 
@@ -307,7 +318,7 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str,
     lines.append(f"{_INDENT * 2}end")
     lines.append(f"{_INDENT}end")
     lines.append("")
-    if opts.output_registered:
+    if stages.output_registered:
         lines.append(f"{_INDENT}logic {_range(width)}mem_out [{depth}];")
         lines.append(f"{_INDENT}always_ff @(posedge {names.cfg_clk}) begin")
         lines.append(f"{_INDENT * 2}for (int i = 0; i < {depth}; i++) mem_out[i] <= mem[i];")
@@ -337,8 +348,14 @@ def _global_top(spec: RegisterMapSpec, model: DesignModel, header: str,
 
 
 def emit(model: DesignModel, spec: RegisterMapSpec) -> dict[str, str]:
-    """Emit the design as named SystemVerilog files (top + one per slave)."""
+    """Emit the design as named SystemVerilog files (top + one per slave).
+
+    The stages come from ``TOPOLOGY_FLAGS`` of the model's topology
+    (:class:`SpecError` for a topology outside it); of the model, only
+    the header's hash reads the elements.
+    """
     topology = model.topology
+    stages = ElaborationOptions.for_topology(topology)
     names = _names(spec)
     header = _header(spec, model)
     files: dict[str, str] = {}
@@ -348,10 +365,10 @@ def emit(model: DesignModel, spec: RegisterMapSpec) -> dict[str, str]:
             s = names.slaves[slave.name]
             files[f"{s.module}.sv"] = _distributed_slave(spec, header, slave, s)
     else:
-        files[f"{names.top}.sv"] = _global_top(spec, model, header, names)
+        files[f"{names.top}.sv"] = _global_top(spec, stages, header, names)
         for slave in spec.slaves:
             s = names.slaves[slave.name]
-            files[f"{s.module}.sv"] = _global_slave(spec, model, header, slave, s)
+            files[f"{s.module}.sv"] = _global_slave(spec, stages, header, slave, s)
     return files
 
 

@@ -36,7 +36,6 @@ from .fields import (
 class ElaborationOptions:
     output_registered: bool = False
     cdc: bool = False
-    dest_registers: bool = False
 
     @staticmethod
     def for_topology(topology: str, path: str | None = None) -> "ElaborationOptions":
@@ -49,13 +48,13 @@ class ElaborationOptions:
 
 
 # Each topology's register stages: the one table that names the topologies
-# and maps each to its stages.  cdc holds exactly when dest_registers does;
-# elaborate, emit and cost rely on it.
+# and maps each to its stages.  cdc adds a synchronizer chain and a
+# destination register behind every setting bit.
 TOPOLOGY_FLAGS = {
-    "global": ElaborationOptions(False, False, False),
-    "global_registered": ElaborationOptions(True, False, False),
-    "global_cdc_dest": ElaborationOptions(True, True, True),
-    "distributed": ElaborationOptions(False, False, False),
+    "global": ElaborationOptions(False, False),
+    "global_registered": ElaborationOptions(True, False),
+    "global_cdc_dest": ElaborationOptions(True, True),
+    "distributed": ElaborationOptions(False, False),
 }
 TOPOLOGIES = tuple(TOPOLOGY_FLAGS)
 GLOBAL_TOPOLOGIES = tuple(t for t in TOPOLOGIES if t != "distributed")

@@ -1,4 +1,4 @@
-// gcdc | topology global_cdc_dest | model 4a55b5ecc75b
+// gcdc | topology global_cdc_dest | model 2e625f16bb03
 // generated by regforge; do not edit
 
 module gcdc_sampler (

@@ -1,4 +1,4 @@
-// duo | topology distributed | model e8c02559ec48
+// duo | topology distributed | model 960ba6608b2e
 // generated by regforge; do not edit
 
 module duo_backend (

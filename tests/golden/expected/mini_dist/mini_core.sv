@@ -1,4 +1,4 @@
-// mini | topology distributed | model 5be146106c1e
+// mini | topology distributed | model c5c7b62cb259
 // generated by regforge; do not edit
 
 module mini_core (

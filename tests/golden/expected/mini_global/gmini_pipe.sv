@@ -1,4 +1,4 @@
-// gmini | topology global | model a0b7f786b72e
+// gmini | topology global | model 0cdd9769d0e0
 // generated by regforge; do not edit
 
 module gmini_pipe (

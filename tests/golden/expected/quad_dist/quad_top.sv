@@ -1,4 +1,4 @@
-// quad | topology distributed | model dfbfbe198183
+// quad | topology distributed | model d4c0eabd9dcf
 // generated by regforge; do not edit
 
 module quad_top (

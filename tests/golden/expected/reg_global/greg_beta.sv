@@ -1,4 +1,4 @@
-// greg | topology global_registered | model 8e0f414b045e
+// greg | topology global_registered | model f895ca0d97b5
 // generated by regforge; do not edit
 
 module greg_beta (

@@ -482,6 +482,6 @@ def test_unknown_arch_override_exits_1(command, tmp_path, spec_file, capsys):
     argv = [command, "--spec", str(spec_file), "--arch", "bogus", *_output_args(command, tmp_path)]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", (
-        "error: unknown topology 'bogus', expected one of global, global_registered, "
-        "global_cdc_dest, distributed\n"
+        "[unknown_topology] $.architecture.topology: unknown topology 'bogus', expected one "
+        "of global, global_registered, global_cdc_dest, distributed\n"
     ))

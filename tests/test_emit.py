@@ -3,13 +3,25 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from regforge import DesignModel, EmitError, elaborate, emit, emit_testbench, load_spec
+from regforge import (
+    DesignModel,
+    EmitError,
+    SpecError,
+    elaborate,
+    emit,
+    emit_testbench,
+    load_spec,
+    structural_counts,
+)
 from regforge.emit import sanitize_names
 from regforge.sim import BusyWindow, ProgramScript, ScriptWrite, SwapRequest
-from regforge.spec import SettingSpec, parse_spec, validate
+from regforge.spec import TOPOLOGIES, SettingSpec, parse_spec, validate
 
 from conftest import make_spec, make_spec_doc
+from test_spec import spec_docs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_SPECS = sorted(p.stem for p in (GOLDEN / "specs").glob("*.json"))
@@ -46,12 +58,66 @@ def test_golden_files(name):
         assert files[fname] == expected[fname], f"{name}/{fname} drifted"
 
 
+# ---------------------------------------------------------------------------
+# flip-flops recounted from the emitted text
+
+_DECL = re.compile(r"\blogic\s+(?:\[(\d+):0\]\s*)?(\w+)(?:\s*\[(\d+)\])?")
+_NONBLOCKING = re.compile(r"(\w+)(?:\[[^\]]*\])?\s*<=")
+
+
+def recount_flipflops(text):
+    """Flip-flop bits of one emitted file, read off its text alone: the
+    declared width times array depth of every variable that an
+    ``always_ff`` block assigns with ``<=``."""
+    bits = {
+        name: (int(msb) + 1 if msb else 1) * (int(depth) if depth else 1)
+        for msb, name, depth in _DECL.findall(text)
+    }
+    assigned = set()
+    nesting = 0
+    for line in text.splitlines():
+        if nesting == 0 and not line.lstrip().startswith("always_ff"):
+            continue
+        assigned.update(_NONBLOCKING.findall(line))
+        nesting += len(re.findall(r"\bbegin\b", line)) - len(re.findall(r"\bend\b", line))
+    return sum(bits[name] for name in assigned)
+
+
+@pytest.mark.parametrize("name", GOLDEN_SPECS)
+def test_golden_flipflops_match_counts(name):
+    spec = load_spec(GOLDEN / "specs" / f"{name}.json")
+    texts = [p.read_text() for p in (GOLDEN / "expected" / name).glob("*.sv")]
+    counted = sum(recount_flipflops(text) for text in texts)
+    assert counted == structural_counts(elaborate(spec)).flipflops > 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec_docs(), st.sampled_from(TOPOLOGIES), st.integers(0, 3))
+def test_emitted_flipflops_match_counts(doc, topology, spare):
+    """Every emitted file counts, so a module the top leaves out must hold
+    no registers either.  A centralized design without settings never
+    writes its memory, so its text has no register to recount; such
+    designs are left out."""
+    widths = [r["width"] for s in doc["slaves"] for r in s["registers"]]
+    assume(topology == "distributed" or widths)
+    doc["architecture"].update(
+        topology=topology,
+        global_depth=len(widths) + spare,
+        global_width=max(widths, default=0) + spare,
+    )
+    spec = parse_spec(json.dumps(doc))
+    assert validate(spec).ok
+    model = elaborate(spec)
+    counted = sum(recount_flipflops(text) for text in emit(model, spec).values())
+    assert counted == structural_counts(model).flipflops
+
+
 def test_storage_declarations_match_bank_words():
     spec = make_spec(n_slaves=2, regs_per_slave=5, width=16)
     model = elaborate(spec)
     files = emit(model, spec)
     for slave in spec.slaves:
-        bank = model.element(f"{slave.name}.cfg")
+        (bank,) = [el for el in model.elements if el.name == f"{slave.name}.cfg"]
         words = bank.bits // 16
         text = files[f"testdes_{slave.name}.sv"]
         decls = re.findall(r"^\s*logic\s+(?:\[[^\]]+\]\s*)?\w+_q;", text, re.M)
@@ -150,6 +216,38 @@ def test_emit_hashes_model_once(topology, monkeypatch):
     files = emit(model, spec)
     assert len(files) == 5
     assert calls == [model]
+
+
+def test_emit_rejects_topology_outside_the_stage_table(distributed_spec):
+    with pytest.raises(SpecError, match=r"^unknown topology 'bogus', expected one of "):
+        emit(DesignModel((), "bogus"), distributed_spec)
+
+
+@pytest.mark.parametrize("topology,same", [
+    ("global", True), ("global_registered", True), ("global_cdc_dest", False),
+])
+def test_sync_length_changes_files_only_where_chains_use_it(topology, same):
+    """sync_length builds no element without a synchronizer chain, so it
+    changes no file of such a design, header hash included."""
+    short, long = (
+        _emit(make_spec(n_slaves=2, regs_per_slave=3, topology=topology, global_depth=8,
+                        global_width=32, sync_length=length))
+        for length in (2, 3)
+    )
+    assert (short == long) is same
+
+
+@pytest.mark.parametrize("topology", ["global", "global_registered", "global_cdc_dest"])
+def test_centralized_slave_without_settings_has_only_a_clock(topology):
+    doc = make_spec_doc(n_slaves=2, topology=topology, global_depth=8, global_width=32)
+    doc["slaves"][1]["registers"] = []
+    spec = parse_spec(json.dumps(doc))
+    files = _emit(spec)
+    assert len(files) == 3
+    assert files["testdes_slave1.sv"].splitlines()[2:] == [
+        "", "module testdes_slave1 (", "    input  logic clk", ");", "", "", "endmodule",
+    ]
+    assert "testdes_slave1 " not in files["testdes_top.sv"]
 
 
 def test_files_use_lf_and_trailing_newline(distributed_spec):

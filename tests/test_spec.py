@@ -236,7 +236,8 @@ def spec_docs(draw, force_valid=True):
             }
         )
         base += max(n_regs, 0)
-    addr_width = max(base.bit_length(), 1) + 1
+    # wide enough for the last word and for one select code per slave
+    addr_width = max(base.bit_length(), (n_slaves - 1).bit_length(), 1) + 1
     select_bits = min((max(n_slaves - 1, 0)).bit_length(), addr_width - 1)
     doc = {
         "name": draw(_names),
@@ -289,10 +290,15 @@ def test_parse_serialize_round_trip(doc):
 @given(spec_docs())
 def test_address_map_addresses_distinct(doc):
     spec = parse_spec(json.dumps(doc))
-    if not validate(spec).ok:
-        return
+    assert validate(spec).ok
     addrs = [e.address for e in address_map(spec)]
     assert len(addrs) == len(set(addrs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_docs())
+def test_force_valid_docs_validate(doc):
+    assert validate(parse_spec(json.dumps(doc))).ok, doc
 
 
 def _brute_force_ok(doc):
