@@ -28,14 +28,13 @@ from .cost import (
 )
 from .elaborate import (
     DesignModel,
-    ElaborationOptions,
     StructuralCounts,
     elaborate,
     elaborate_distributed,
     elaborate_global,
     structural_counts,
 )
-from .emit import emit, emit_testbench
+from .emit import emit
 from .errors import (
     CalibrationError,
     CapacityError,
@@ -59,6 +58,7 @@ from .spec import (
     ArchChoice,
     BusGeometry,
     ClockDomain,
+    ElaborationOptions,
     RegisterMapSpec,
     SettingSpec,
     SlaveSpec,

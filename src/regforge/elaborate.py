@@ -26,9 +26,8 @@ from functools import cached_property
 from typing import ClassVar, Union
 
 from .errors import CapacityError
-# ElaborationOptions and TOPOLOGY_FLAGS live in spec, which names the
-# topologies; they stay importable from here.
-from .spec import TOPOLOGY_FLAGS, ElaborationOptions, RegisterMapSpec, capacity_problem
+from .spec import ElaborationOptions, RegisterMapSpec, capacity_problem
+
 
 @dataclass(frozen=True)
 class FlipFlopBank:
@@ -116,7 +115,7 @@ class DesignModel:
 def elaborate_global(spec: RegisterMapSpec) -> DesignModel:
     """Build the centralized-memory model with the stages of the spec's topology.
 
-    Raises :class:`SpecError` for a topology not in :data:`TOPOLOGY_FLAGS`
+    Raises :class:`SpecError` for a topology not in :data:`~regforge.spec.TOPOLOGY_FLAGS`
     and :class:`CapacityError` with the message of the ``global_capacity``
     diagnostic that :func:`~regforge.spec.validate` reports when the
     settings do not fit the memory (:func:`~regforge.spec.capacity_problem`).

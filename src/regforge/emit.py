@@ -1,9 +1,10 @@
 """SystemVerilog emission for elaborated designs.
 
-Output is plain IEEE 1800 source text, one top-level file plus one file
-per slave, treated strictly as a text artifact: nothing here invokes a
-synthesizer.  Emission is deterministic; identical inputs produce
-byte-identical files, which the golden tests pin down.
+Output is plain IEEE 1800 source text, synthesizable clocked RTL only,
+one top-level file plus one file per slave, treated strictly as a text
+artifact: nothing here invokes a synthesizer.  Emission is deterministic;
+identical inputs produce byte-identical files, which the golden tests pin
+down.
 
 Distributed slaves expose the configuration-bus port set
 (``cfg_addr``/``cfg_wdata``/``cfg_write``/``cfg_sel``/``ready``) plus a
@@ -21,7 +22,6 @@ from typing import NamedTuple
 
 from .elaborate import DesignModel
 from .errors import EmitError
-from .sim import ProgramScript, Simulation
 from .spec import (
     ElaborationOptions,
     RegisterMapSpec,
@@ -371,102 +371,3 @@ def emit(model: DesignModel, spec: RegisterMapSpec) -> dict[str, str]:
             files[f"{s.module}.sv"] = _global_slave(spec, stages, header, slave, s)
     return files
 
-
-def emit_testbench(model: DesignModel, spec: RegisterMapSpec, script: ProgramScript) -> str:
-    """Emit a self-checking testbench for one programming script.
-
-    Expected final register values come from running the cycle simulator
-    on the same script and are embedded as literals.  Scripts with swaps
-    cannot be expressed in a static testbench.
-    """
-    if script.swaps:
-        raise EmitError("testbenches cannot express module swaps")
-    if model.topology != "distributed":
-        raise EmitError("testbenches are only emitted for distributed designs")
-
-    names = _names(spec)
-    bus = spec.bus
-    cfg_period = spec.clock_domains[0].period_ps
-    horizon = cfg_period * (
-        max((w.at_cycle for w in script.writes), default=0) + len(script.writes) + 64
-    )
-    horizon = max(horizon, max((w.end_ps for w in script.busy_windows), default=0))
-    horizon += 8 * cfg_period
-
-    sim = Simulation(spec)
-    sim.run(script, horizon)
-
-    domains, cfg_clk = names.domains, names.cfg_clk
-    lines = [_header(spec, model)]
-    lines.append("`timescale 1ps/1ps")
-    lines.append("")
-    lines.append(f"module {names.design}_tb;")
-    for d in spec.clock_domains:
-        lines.append(f"{_INDENT}logic {domains[d.name]} = 1'b0;")
-        lines.append(
-            f"{_INDENT}always #({d.period_ps // 2}) {domains[d.name]} = ~{domains[d.name]};"
-        )
-    lines.append(f"{_INDENT}logic cfg_rst_n = 1'b0;")
-    lines.append(f"{_INDENT}logic {_range(bus.addr_width)}cfg_addr = '0;")
-    lines.append(f"{_INDENT}logic {_range(bus.data_width)}cfg_wdata = '0;")
-    lines.append(f"{_INDENT}logic cfg_write = 1'b0;")
-    idents = [names.slaves[slave.name].ident for slave in spec.slaves]
-    for ident in idents:
-        lines.append(f"{_INDENT}logic {ident}_busy = 1'b0;")
-        lines.append(f"{_INDENT}logic {ident}_ready;")
-    lines.append("")
-    conns = [f".{domains[d.name]}({domains[d.name]})" for d in spec.clock_domains]
-    conns += [
-        ".cfg_rst_n(cfg_rst_n)",
-        ".cfg_addr(cfg_addr)",
-        ".cfg_wdata(cfg_wdata)",
-        ".cfg_write(cfg_write)",
-    ]
-    for ident in idents:
-        conns += [f".{ident}_busy({ident}_busy)", f".{ident}_ready({ident}_ready)"]
-    lines += _instance(names.top, "dut", conns)
-
-    for i, window in enumerate(script.busy_windows):
-        ident = names.slaves[window.slave].ident
-        lines.append(f"{_INDENT}initial begin : busy_window_{i}")
-        lines.append(f"{_INDENT * 2}#{window.start_ps} {ident}_busy = 1'b1;")
-        lines.append(f"{_INDENT * 2}#{window.end_ps - window.start_ps} {ident}_busy = 1'b0;")
-        lines.append(f"{_INDENT}end")
-        lines.append("")
-
-    decode = {entry.address: entry.slave for entry in address_map(spec)}
-    lines.append(f"{_INDENT}initial begin")
-    lines.append(f"{_INDENT * 2}repeat (2) @(posedge {cfg_clk});")
-    lines.append(f"{_INDENT * 2}cfg_rst_n = 1'b1;")
-    last_cycle = 0
-    for write in sorted(script.writes, key=lambda w: w.at_cycle):
-        gap = write.at_cycle - last_cycle
-        if gap > 0:
-            lines.append(f"{_INDENT * 2}repeat ({gap}) @(posedge {cfg_clk});")
-        last_cycle = write.at_cycle
-        target = decode.get(write.addr)
-        lines.append(f"{_INDENT * 2}cfg_addr = {bus.addr_width}'d{write.addr};")
-        lines.append(f"{_INDENT * 2}cfg_wdata = {bus.data_width}'d{write.data};")
-        lines.append(f"{_INDENT * 2}cfg_write = 1'b1;")
-        lines.append(f"{_INDENT * 2}@(posedge {cfg_clk});")
-        if target is not None:
-            ready = f"{names.slaves[target].ident}_ready"
-            lines.append(f"{_INDENT * 2}while (!{ready}) @(posedge {cfg_clk});")
-        lines.append(f"{_INDENT * 2}cfg_write = 1'b0;")
-    lines.append(f"{_INDENT * 2}#{horizon};")
-    checks = 0
-    for slave in spec.slaves:
-        s = names.slaves[slave.name]
-        for r, reg in s.settings:
-            expected = sim.backdoor_read(slave.name, r.offset)
-            path = f"dut.u_{s.ident}.{reg}_q"
-            lines.append(
-                f"{_INDENT * 2}if ({path} !== {r.width}'d{expected}) "
-                f'$fatal(1, "mismatch: {path}");'
-            )
-            checks += 1
-    lines.append(f'{_INDENT * 2}$display("TB PASS ({checks} checks)");')
-    lines.append(f"{_INDENT * 2}$finish;")
-    lines.append(f"{_INDENT}end")
-    lines.append("")
-    return _endmodule(lines)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import InvalidSpecError, SimError, SpecError
@@ -65,7 +65,6 @@ from .spec import (
     SettingSpec,
     global_word_map,
     parse_fragment,
-    register_problems,
     validate,
 )
 
@@ -517,10 +516,10 @@ class Simulation:
 
         Refused (with a ``swap_refused`` violation event) unless the
         design is distributed, the slave's ready is high, no in-flight
-        write addresses it, the new registers keep the per-register rules
-        of :func:`~regforge.spec.validate` (:func:`~regforge.spec.register_problems`)
-        and they fit the bus address space and the slave's slot, below
-        the next slave's base.
+        write addresses it, and :func:`~regforge.spec.validate` passes
+        the spec with the slave's registers replaced.  An accepted swap
+        makes that spec :attr:`spec`, so the next swap is judged against
+        the current design.
         """
         t = self.time_ps if time_ps is None else time_ps
         sidx = self._slave_idx.get(slave)
@@ -538,18 +537,15 @@ class Simulation:
         if self._current is not None and self._current[2] == sidx:
             return refuse("in_flight")
 
-        if next(register_problems(slave, registers, self.spec.bus.data_width), None):
+        slaves = self.spec.slaves
+        swapped = replace(self.spec, slaves=(
+            *slaves[:sidx], replace(slaves[sidx], registers=tuple(registers)), *slaves[sidx + 1:]
+        ))
+        if not validate(swapped).ok:
             return refuse("bad_fragment")
-        base = self._base[sidx]
-        limit = min((b for i, b in enumerate(self._base) if i != sidx and b > base),
-                    default=None)
-        addr_width = self.spec.bus.addr_width
-        for reg in registers:
-            # no 1 << addr_width: it can be too large to shift by
-            address = base + reg.offset
-            if address >> addr_width > 0 or (limit is not None and address >= limit):
-                return refuse("bad_fragment")
+        self.spec = swapped
 
+        base = self._base[sidx]
         for offset in self._widths[sidx]:
             del self._decode[base + offset]
         self._widths[sidx] = {r.offset: r.width for r in registers}

@@ -295,8 +295,8 @@ def load_spec(path) -> RegisterMapSpec:
 # Each rule that a caller besides validate applies lives here once, in
 # validate's wording: ElaborationOptions.for_topology raises
 # topology_problem, elaborate and the estimator raise capacity_problem,
-# a design point raises sync_length_problem, and a module swap refuses a
-# fragment that register_problems finds fault with.
+# and a design point raises sync_length_problem.  A module swap applies
+# validate itself, to the spec with the slave's registers replaced.
 
 
 def topology_problem(topology: str) -> str | None:
@@ -305,32 +305,6 @@ def topology_problem(topology: str) -> str | None:
     if topology in TOPOLOGY_FLAGS:
         return None
     return f"unknown topology {topology!r}, expected one of {', '.join(TOPOLOGIES)}"
-
-
-def register_problems(slave: str, registers: Iterable[SettingSpec], data_width: int):
-    """Yield ``(index, code, field, message)`` for each per-register rule
-    that the settings ``registers`` of slave ``slave`` break, in register
-    order: offsets are >= 0 and distinct, names are distinct, a width is
-    in 1..``data_width`` and the reset value fits it.  ``field`` is the
-    suffix of the register's path that the message names, ``""`` for the
-    register itself."""
-    seen_offsets = set()
-    seen_names = set()
-    for j, (setting, offset, width, reset) in enumerate(registers):
-        if offset < 0:
-            yield j, "negative_value", ".offset", "offset must be >= 0"
-        if offset in seen_offsets:
-            yield j, "dup_offset", "", f"offset {offset} used twice in slave {slave!r}"
-        seen_offsets.add(offset)
-        if setting in seen_names:
-            yield j, "dup_setting_name", "", f"setting {setting!r} named twice in slave {slave!r}"
-        seen_names.add(setting)
-        # no 1 << width: a width can be too large to shift by
-        if width < 1 or (data_width >= 1 and width > data_width):
-            yield j, "setting_width", ".width", f"width {width} outside 1..{data_width}"
-        if reset < 0 or (width >= 1 and reset.bit_length() > width):
-            yield (j, "reset_range", ".reset_value",
-                   f"reset value {reset} does not fit in {width} bits")
 
 
 def sync_length_problem(topology: str, sync_length: int) -> str | None:
@@ -426,10 +400,27 @@ def validate(spec: RegisterMapSpec) -> ValidationReport:
             )
         if slave.base_addr < 0:
             report.add("negative_value", f"$.slaves[{i}].base_addr", "base_addr must be >= 0")
-        for j, code, where, message in register_problems(
-            slave.name, slave.registers, bus.data_width
-        ):
-            report.add(code, f"$.slaves[{i}].registers[{j}]{where}", message)
+        seen_offsets = set()
+        seen_settings = set()
+        for j, (setting, offset, width, reset) in enumerate(slave.registers):
+            if offset < 0:
+                report.add("negative_value", f"$.slaves[{i}].registers[{j}].offset",
+                           "offset must be >= 0")
+            if offset in seen_offsets:
+                report.add("dup_offset", f"$.slaves[{i}].registers[{j}]",
+                           f"offset {offset} used twice in slave {slave.name!r}")
+            seen_offsets.add(offset)
+            if setting in seen_settings:
+                report.add("dup_setting_name", f"$.slaves[{i}].registers[{j}]",
+                           f"setting {setting!r} named twice in slave {slave.name!r}")
+            seen_settings.add(setting)
+            # no 1 << width: a width can be too large to shift by
+            if width < 1 or (bus.data_width >= 1 and width > bus.data_width):
+                report.add("setting_width", f"$.slaves[{i}].registers[{j}].width",
+                           f"width {width} outside 1..{bus.data_width}")
+            if reset < 0 or (width >= 1 and reset.bit_length() > width):
+                report.add("reset_range", f"$.slaves[{i}].registers[{j}].reset_value",
+                           f"reset value {reset} does not fit in {width} bits")
 
         if slave.base_addr >= 0 and bus.addr_width >= 1:
             end = slave.base_addr + words[i]

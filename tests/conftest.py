@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import settings
 
 from regforge import CapacityError, elaborate, parse_spec, structural_counts, validate
 from regforge.cost import (
@@ -18,6 +19,12 @@ from regforge.spec import (
     SettingSpec,
     SlaveSpec,
 )
+
+
+# Every property test draws the same examples on every run, as the
+# toolchain it checks is deterministic; no example has a deadline.
+settings.register_profile("regforge", derandomize=True, deadline=None)
+settings.load_profile("regforge")
 
 
 def make_spec_doc(

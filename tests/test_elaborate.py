@@ -161,7 +161,7 @@ def test_conservation_each_setting_has_one_storage_slot():
     assert sorted(word_of.values()) == list(range(len(entries)))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(spec_docs())
 def test_distributed_structure_matches_closed_form(doc):
     spec = parse_spec(json.dumps(doc))
@@ -192,7 +192,7 @@ def test_capacity_errors(reg_width, depth, mem_width, message):
     assert message in str(err.value)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(spec_docs(), st.sampled_from(TOPOLOGIES), st.integers(0, 8), st.integers(0, 40))
 def test_a_spec_that_validates_compiles_and_simulates(doc, topology, depth, width):
     doc["architecture"].update(topology=topology, global_depth=depth, global_width=width)

@@ -12,13 +12,11 @@ from regforge import (
     SpecError,
     elaborate,
     emit,
-    emit_testbench,
     load_spec,
     structural_counts,
 )
 from regforge.emit import sanitize_names
-from regforge.sim import BusyWindow, ProgramScript, ScriptWrite, SwapRequest
-from regforge.spec import TOPOLOGIES, SettingSpec, parse_spec, validate
+from regforge.spec import TOPOLOGIES, parse_spec, validate
 
 from conftest import make_spec, make_spec_doc
 from test_spec import spec_docs
@@ -91,7 +89,7 @@ def test_golden_flipflops_match_counts(name):
     assert counted == structural_counts(elaborate(spec)).flipflops > 0
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(spec_docs(), st.sampled_from(TOPOLOGIES), st.integers(0, 3))
 def test_emitted_flipflops_match_counts(doc, topology, spare):
     """Every emitted file counts, so a module the top leaves out must hold
@@ -176,9 +174,6 @@ def test_duplicate_slave_name_raises(topology):
     spec = _renamed(topology, _second_slave_named_slave0)
     with pytest.raises(EmitError, match="^duplicate slave 'slave0'$"):
         _emit(spec)
-    if topology == "distributed":
-        with pytest.raises(EmitError, match="^duplicate slave 'slave0'$"):
-            _tb(spec, ProgramScript())
 
 
 @pytest.mark.parametrize("topology", ["distributed", "global_cdc_dest"])
@@ -254,49 +249,3 @@ def test_files_use_lf_and_trailing_newline(distributed_spec):
     for text in _emit(distributed_spec).values():
         assert "\r" not in text
         assert text.endswith("\n")
-
-
-# ---------------------------------------------------------------------------
-# testbench
-
-
-def _tb(spec, script):
-    return emit_testbench(elaborate(spec), spec, script)
-
-
-def test_testbench_single_write_single_assertion(distributed_spec):
-    script = ProgramScript(writes=(ScriptWrite(0, 0, 123),))
-    text = _tb(distributed_spec, script)
-    checks = re.findall(r"!==", text)
-    # one check per register, value literals from the simulated run
-    total_regs = sum(len(s.registers) for s in distributed_spec.slaves)
-    assert len(checks) == total_regs
-    assert "32'd123" in text
-
-
-def test_testbench_busy_window_stalls_on_ready(distributed_spec):
-    script = ProgramScript(
-        writes=(ScriptWrite(0, 0, 9),),
-        busy_windows=(BusyWindow("slave0", 10_000, 50_000),),
-    )
-    text = _tb(distributed_spec, script)
-    assert "while (!slave0_ready)" in text
-    assert "slave0_busy = 1'b1;" in text
-
-
-def test_testbench_empty_script_asserts_resets(distributed_spec):
-    text = _tb(distributed_spec, ProgramScript())
-    assert "'d0" in text and "$display(\"TB PASS" in text
-
-
-def test_testbench_rejects_swaps(distributed_spec):
-    script = ProgramScript(
-        swaps=(SwapRequest(0, "slave0", (SettingSpec("r", 0, 8),)),)
-    )
-    with pytest.raises(EmitError):
-        _tb(distributed_spec, script)
-
-
-def test_testbench_deterministic(distributed_spec):
-    script = ProgramScript(writes=(ScriptWrite(0, 0, 7), ScriptWrite(2, 4, 8)))
-    assert _tb(distributed_spec, script) == _tb(distributed_spec, script)

@@ -277,7 +277,7 @@ def _break_doc(draw, doc):
     return doc
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(spec_docs())
 def test_parse_serialize_round_trip(doc):
     spec = parse_spec(json.dumps(doc))
@@ -286,7 +286,7 @@ def test_parse_serialize_round_trip(doc):
     assert serialize(parse_spec(serialize(spec))) == serialize(spec)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(spec_docs())
 def test_address_map_addresses_distinct(doc):
     spec = parse_spec(json.dumps(doc))
@@ -295,7 +295,7 @@ def test_address_map_addresses_distinct(doc):
     assert len(addrs) == len(set(addrs))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(spec_docs())
 def test_force_valid_docs_validate(doc):
     assert validate(parse_spec(json.dumps(doc))).ok, doc
@@ -351,7 +351,7 @@ def _brute_force_ok(doc):
     return True
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(spec_docs(force_valid=False))
 def test_validate_matches_brute_force(doc):
     spec = parse_spec(json.dumps(doc))
