@@ -18,6 +18,7 @@ from . import cost, sim
 from .elaborate import elaborate, structural_counts
 from .emit import emit
 from .errors import InvalidSpecError, RegforgeError, SpecError
+from .fields import write_text
 from .spec import load_spec, validate
 
 EXIT_OK = 0
@@ -108,11 +109,9 @@ def cmd_compile(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(files):
-        (out_dir / name).write_text(files[name], encoding="utf-8")
-    (out_dir / "model.json").write_text(model.to_json(), encoding="utf-8")
-    (out_dir / "counts.json").write_text(
-        json.dumps(dataclasses.asdict(counts), indent=2) + "\n", encoding="utf-8"
-    )
+        write_text(out_dir / name, files[name])
+    write_text(out_dir / "model.json", model.to_json())
+    write_text(out_dir / "counts.json", json.dumps(dataclasses.asdict(counts), indent=2) + "\n")
     print(f"wrote {len(files)} HDL file(s) + model.json + counts.json to {out_dir}")
     print(
         f"flipflops={counts.flipflops} decode_terms={counts.decode_terms} "
@@ -186,7 +185,7 @@ def cmd_sweep(args) -> int:
     )
     text = cost.sweep_to_csv(rows)
     if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
+        write_text(args.csv, text)
         print(f"wrote {len(rows)} row(s) to {args.csv}")
     else:
         print(text, end="")

@@ -38,6 +38,7 @@ from .fields import (
     read_obj,
     read_str,
     reject_unknown,
+    write_text,
 )
 from .spec import ElaborationOptions, capacity_problem, sync_length_problem
 
@@ -712,8 +713,7 @@ def calibration_from_json(text: str) -> Calibration:
 
 def save_calibration(cal: Calibration, path) -> None:
     """Write the calibration's measurement corpus to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(calibration_to_json(cal))
+    write_text(path, calibration_to_json(cal))
 
 
 def load_calibration(path) -> Calibration:

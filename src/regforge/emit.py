@@ -281,17 +281,13 @@ def _distributed_top(spec: RegisterMapSpec, header: str, names: _Names) -> str:
     return _endmodule(lines)
 
 
-def _global_top(spec: RegisterMapSpec, stages: ElaborationOptions, header: str,
-                names: _Names) -> str:
+def _global_memory(spec: RegisterMapSpec, stages: ElaborationOptions, cfg_clk: str,
+                   word_of: dict[int, int]) -> list[str]:
+    """The centralized memory ``mem`` (and ``mem_out`` when the output is
+    registered): its reset values and its write decoder."""
     bus = spec.bus
-    arch = spec.architecture
-    depth, width = arch.global_depth, arch.global_width
-    word_of = global_word_map(entry.address for entry in address_map(spec))
-
-    lines = _module(header, names.top, _top_ports(spec, names, handshake=False))
-    lines.append(f"{_INDENT}logic {_range(width)}mem [{depth}];")
-    stage = "mem"
-    lines.append("")
+    depth, width = spec.architecture.global_depth, spec.architecture.global_width
+    lines = [f"{_INDENT}logic {_range(width)}mem [{depth}];", ""]
     lines.append(f"{_INDENT}initial begin")
     lines.append(f"{_INDENT * 2}for (int i = 0; i < {depth}; i++) mem[i] = '0;")
     resets = {
@@ -305,7 +301,7 @@ def _global_top(spec: RegisterMapSpec, stages: ElaborationOptions, header: str,
     lines.append(f"{_INDENT}end")
     lines.append("")
     wdata = "cfg_wdata" if width == bus.data_width else f"{width}'(cfg_wdata)"
-    lines.append(f"{_INDENT}always_ff @(posedge {names.cfg_clk}) begin")
+    lines.append(f"{_INDENT}always_ff @(posedge {cfg_clk}) begin")
     lines.append(f"{_INDENT * 2}if (cfg_write) begin")
     lines.append(f"{_INDENT * 3}case (cfg_addr)")
     for addr in sorted(word_of):
@@ -320,11 +316,23 @@ def _global_top(spec: RegisterMapSpec, stages: ElaborationOptions, header: str,
     lines.append("")
     if stages.output_registered:
         lines.append(f"{_INDENT}logic {_range(width)}mem_out [{depth}];")
-        lines.append(f"{_INDENT}always_ff @(posedge {names.cfg_clk}) begin")
+        lines.append(f"{_INDENT}always_ff @(posedge {cfg_clk}) begin")
         lines.append(f"{_INDENT * 2}for (int i = 0; i < {depth}; i++) mem_out[i] <= mem[i];")
         lines.append(f"{_INDENT}end")
         lines.append("")
-        stage = "mem_out"
+    return lines
+
+
+def _global_top(spec: RegisterMapSpec, stages: ElaborationOptions, header: str,
+                names: _Names) -> str:
+    arch = spec.architecture
+    width = arch.global_width
+    word_of = global_word_map(entry.address for entry in address_map(spec))
+
+    lines = _module(header, names.top, _top_ports(spec, names, handshake=False))
+    if arch.global_depth > 0 and width > 0:  # else no memory, as in elaborate_global
+        lines += _global_memory(spec, stages, names.cfg_clk, word_of)
+    stage = "mem_out" if stages.output_registered else "mem"
 
     # Per-slave fan-out bundles, one concatenated settings bus each.
     for slave in spec.slaves:

@@ -1,4 +1,4 @@
-"""Typed field readers for regforge's JSON documents.
+"""Typed field readers for regforge's JSON documents, and its one file writer.
 
 The register-map parser (:mod:`regforge.spec`), the programming-script
 parser (:mod:`regforge.sim`) and the calibration loader
@@ -16,6 +16,8 @@ strings at all.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 
 from .errors import SpecError
@@ -51,6 +53,30 @@ def load_document(text: str) -> dict:
     if not isinstance(doc, dict):
         raise SpecError(f"expected object, got {type(doc).__name__}", format_path(ROOT))
     return doc
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, overwriting an existing file in place.
+
+    Every output file of the package is written here.  The file is not
+    truncated to zero on opening: on ext4 (``auto_da_alloc``), closing a
+    file that was truncated to zero and written again starts writeback of
+    its blocks, a flush per file.  A longer old file is cut to the new
+    length after the write.  A target that is not a regular file, such as
+    a pipe or ``/dev/stdout``, is never cut.  A new file gets the mode
+    ``open(path, "w")`` gives it.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def reject_unknown(obj: dict, allowed: frozenset[str], path) -> None:

@@ -59,6 +59,7 @@ from .fields import (
     read_obj,
     read_str,
     reject_unknown,
+    write_text,
 )
 from .spec import (
     RegisterMapSpec,
@@ -599,8 +600,7 @@ class Simulation:
         return hashlib.sha256(trace_to_csv(self.trace).encode()).hexdigest()
 
     def write_trace(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(trace_to_csv(self.trace))
+        write_text(path, trace_to_csv(self.trace))
 
     def violation_events(self) -> list[TraceEvent]:
         return [e for e in self.trace if e.kind == VIOLATION]

@@ -485,3 +485,44 @@ def test_unknown_arch_override_exits_1(command, tmp_path, spec_file, capsys):
         "[unknown_topology] $.architecture.topology: unknown topology 'bogus', expected one "
         "of global, global_registered, global_cdc_dest, distributed\n"
     ))
+
+
+# ---------------------------------------------------------------------------
+# output files are overwritten in place
+
+
+def test_recompile_of_a_smaller_spec_matches_a_fresh_compile(tmp_path, capsys):
+    """A second compile into the same directory leaves each file it writes
+    byte-equal to a fresh compile's, though every file (model.json too)
+    shrinks."""
+    large, small = tmp_path / "large.json", tmp_path / "small.json"
+    large.write_text(json.dumps(make_spec_doc(n_slaves=4, regs_per_slave=8)))
+    small.write_text(json.dumps(make_spec_doc(n_slaves=2, regs_per_slave=2)))
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["compile", "--spec", str(large), "--out", str(reused)]) == 0
+    before = {p.name: p.stat().st_size for p in reused.iterdir()}
+    assert main(["compile", "--spec", str(small), "--out", str(reused)]) == 0
+    assert main(["compile", "--spec", str(small), "--out", str(fresh)]) == 0
+    for path in fresh.iterdir():
+        assert (reused / path.name).read_bytes() == path.read_bytes(), path.name
+        assert path.stat().st_size < before[path.name], path.name
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_sweep_csv_path_that_cannot_be_written_exits_2(where, tmp_path, capsys):
+    csv = tmp_path if where == "directory" else tmp_path / "missing" / "sweep.csv"
+    assert main(["sweep", "--point", "topology=distributed,N_t=4", "--csv", str(csv)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_csv_to_stdout_pipe():
+    """``--csv /dev/stdout`` under a pipe, as in ``regforge sweep ... | cat``:
+    a pipe cannot be truncated, and is not."""
+    argv = ["sweep", "--point", "topology=distributed,N_t=4", "--sweep", "S=1;2"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = [sys.executable, "-m", "regforge.cli", *argv]
+    plain = subprocess.run(run, capture_output=True, text=True, timeout=120, env=env)
+    piped = subprocess.run([*run, "--csv", "/dev/stdout"], stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == plain.stdout + "wrote 2 row(s) to /dev/stdout\n"

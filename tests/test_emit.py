@@ -110,6 +110,23 @@ def test_emitted_flipflops_match_counts(doc, topology, spare):
     assert counted == structural_counts(model).flipflops
 
 
+@pytest.mark.parametrize("topology", ["global", "global_registered"])
+@pytest.mark.parametrize("depth, width", [(0, 0), (0, 32), (8, 0)])
+def test_centralized_design_without_memory_declares_none(topology, depth, width):
+    """``validate`` passes a setting-less centralized design with a zero
+    memory dimension; its RTL holds no zero-size array, as its model
+    holds no memory."""
+    spec = make_spec(n_slaves=1, regs_per_slave=0, topology=topology,
+                     global_depth=depth, global_width=width)
+    assert validate(spec).ok
+    model = elaborate(spec)
+    files = emit(model, spec)
+    top = files["testdes_top.sv"]
+    assert "[0]" not in top and "mem" not in top and "always_ff" not in top
+    counted = sum(recount_flipflops(text) for text in files.values())
+    assert counted == structural_counts(model).flipflops == 0
+
+
 def test_storage_declarations_match_bank_words():
     spec = make_spec(n_slaves=2, regs_per_slave=5, width=16)
     model = elaborate(spec)
