@@ -11,12 +11,13 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import cost, sim
 from .elaborate import elaborate, structural_counts
-from .emit import emit
+from .emit import GENERATED_LINE, emit
 from .errors import InvalidSpecError, RegforgeError, SpecError
 from .fields import write_text
 from .spec import load_spec, validate
@@ -98,6 +99,21 @@ def _load_spec(spec_path: str, arch: str | None):
     return spec
 
 
+def _remove_stale_hdl(out_dir: Path, written: dict[str, str]) -> None:
+    """Remove each ``*.sv`` file in ``out_dir`` that is not in ``written``
+    but that an earlier compile wrote: its line 2 is the generated banner.
+    Every other file stays."""
+    with os.scandir(out_dir) as entries:
+        stale = [e.path for e in entries
+                 if e.name.endswith(".sv") and e.name not in written and e.is_file()]
+    for path in stale:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            fh.readline()
+            second = fh.readline()
+        if second.rstrip("\n") == GENERATED_LINE:
+            os.remove(path)
+
+
 def cmd_compile(args) -> int:
     spec = _load_spec(args.spec, args.arch)
     report = validate(spec)
@@ -112,6 +128,7 @@ def cmd_compile(args) -> int:
         write_text(out_dir / name, files[name])
     write_text(out_dir / "model.json", model.to_json())
     write_text(out_dir / "counts.json", json.dumps(dataclasses.asdict(counts), indent=2) + "\n")
+    _remove_stale_hdl(out_dir, files)
     print(f"wrote {len(files)} HDL file(s) + model.json + counts.json to {out_dir}")
     print(
         f"flipflops={counts.flipflops} decode_terms={counts.decode_terms} "

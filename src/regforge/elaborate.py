@@ -80,6 +80,11 @@ class StructuralCounts:
     max_unregistered_bundle_bits: int
 
 
+# Writes the model's elements with each field on a line of its own, at
+# the indentation that json.dumps(indent=2) gives it in the model document.
+_ELEMENT_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 @dataclass(frozen=True)
 class DesignModel:
     """A design's structure: its elements and its topology, nothing that
@@ -105,8 +110,16 @@ class DesignModel:
             {"kind": el.kind, **vars(el)}
             for el in sorted(self.elements, key=lambda e: (e.kind, e.name))
         ]
-        doc = {"topology": self.topology, "elements": items}
-        return json.dumps(doc, indent=2) + "\n"
+        # The bytes of json.dumps(doc, indent=2), written by the C encoder
+        # instead of the pure-Python indenting one.  Its separator breaks
+        # the line before each field of an element, and the breaks between
+        # elements get their own indentation here; an encoded string holds
+        # no line break, so the replaced text occurs nowhere else.
+        elements = _ELEMENT_ENCODER.encode(items)
+        if items:
+            between = elements[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            elements = f"[\n    {{\n      {between}\n    }}\n  ]"
+        return f'{{\n  "topology": {json.dumps(self.topology)},\n  "elements": {elements}\n}}\n'
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()

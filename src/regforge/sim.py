@@ -133,19 +133,37 @@ _WINDOW_KEYS = frozenset(("slave", "start_ps", "end_ps"))
 _SWAP_KEYS = frozenset(("at_ps", "slave", "new_spec_fragment"))
 
 
+def _plain_writes(items: list) -> list[ScriptWrite] | None:
+    """The writes of ``items`` when every entry is a dict of known keys
+    whose fields are ``int`` (not ``bool``) or absent.  None when one is
+    not, for the checked readers to judge."""
+    if not ({*map(type, items)} <= {dict} and all(map(_WRITE_KEYS.issuperset, items))):
+        return None
+    cycles = [obj.get("at_cycle", 0) for obj in items]
+    addrs = [obj.get("addr", 0) for obj in items]
+    data = [obj.get("data", 0) for obj in items]
+    if not {*map(type, cycles), *map(type, addrs), *map(type, data)} <= {int}:
+        return None
+    # tuple.__new__ skips the Python-level __new__ that NamedTuple defines
+    return list(map(tuple.__new__, [ScriptWrite] * len(items), zip(cycles, addrs, data)))
+
+
 def parse_script(text: str) -> ProgramScript:
     """Parse a programming-script JSON document."""
     doc = load_document(text)
     reject_unknown(doc, _SCRIPT_KEYS, ROOT)
 
-    writes = []
-    for path, obj in objects(read_list(doc, "writes", ROOT, []), (ROOT, "writes")):
-        reject_unknown(obj, _WRITE_KEYS, path)
-        writes.append(ScriptWrite(
-            read_int(obj, "at_cycle", path, 0),
-            read_int(obj, "addr", path, 0),
-            read_int(obj, "data", path, 0),
-        ))
+    items = read_list(doc, "writes", ROOT, [])
+    writes = _plain_writes(items)
+    if writes is None:
+        writes = []
+        for path, obj in objects(items, (ROOT, "writes")):
+            reject_unknown(obj, _WRITE_KEYS, path)
+            writes.append(ScriptWrite(
+                read_int(obj, "at_cycle", path, 0),
+                read_int(obj, "addr", path, 0),
+                read_int(obj, "data", path, 0),
+            ))
 
     windows = []
     for path, obj in objects(read_list(doc, "busy_windows", ROOT, []), (ROOT, "busy_windows")):

@@ -95,11 +95,12 @@ class SlaveSpec:
         """Number of addressed words this slave occupies (0 if empty)."""
         if not self.registers:
             return 0
-        return max(r.offset for r in self.registers) + 1
+        # by index: reading a NamedTuple field by name is slower
+        return max([r[1] for r in self.registers]) + 1
 
     @property
     def setting_bits(self) -> int:
-        return sum(r.width for r in self.registers)
+        return sum([r[2] for r in self.registers])
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,30 @@ _ARCH_KEYS = frozenset(("topology", "sync_length", "global_depth", "global_width
 _FRAGMENT_KEYS = frozenset(("registers",))
 
 
+def _plain_settings(items: list) -> tuple[SettingSpec, ...] | None:
+    """The settings of ``items`` when every entry is a plain register
+    object: a dict of known keys with a ``str`` name and ``int`` (not
+    ``bool``) offset, width and reset value, the reset value perhaps
+    absent.  None at the first entry that is not, for the checked readers
+    to judge."""
+    new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
+    settings = []
+    for obj in items:
+        if type(obj) is not dict or not _SETTING_KEYS.issuperset(obj):
+            return None
+        name, offset, width = obj.get("name"), obj.get("offset"), obj.get("width")
+        reset = obj.get("reset_value", 0)
+        if not (type(name) is str and type(offset) is int and type(width) is int
+                and type(reset) is int):
+            return None
+        settings.append(new(SettingSpec, (name, offset, width, reset)))
+    return tuple(settings)
+
+
 def _parse_settings(items: list, path) -> tuple[SettingSpec, ...]:
+    plain = _plain_settings(items)
+    if plain is not None:
+        return plain
     settings = []
     for reg_path, obj in objects(items, path):
         reject_unknown(obj, _SETTING_KEYS, reg_path)

@@ -400,18 +400,24 @@ def test_main_reuses_parser_without_leaking_state(monkeypatch, capsys):
 
 
 def test_compile_encodes_model_once(tmp_path, spec_file, monkeypatch):
+    """The emitted header hash and ``model.json`` share one encoding of the
+    model's elements."""
+    # regforge.elaborate is also the name of a function in the package
+    module = importlib.import_module("regforge.elaborate")
+    encoder = module._ELEMENT_ENCODER
     calls = []
 
-    class CountingJson:
+    class CountingEncoder:
         @staticmethod
-        def dumps(*args, **kwargs):
-            calls.append(kwargs)
-            return json.dumps(*args, **kwargs)
+        def encode(obj):
+            calls.append(obj)
+            return encoder.encode(obj)
 
-    # regforge.elaborate is also the name of a function in the package
-    monkeypatch.setattr(importlib.import_module("regforge.elaborate"), "json", CountingJson)
-    assert main(["compile", "--spec", str(spec_file), "--out", str(tmp_path / "out")]) == 0
-    assert calls == [{"indent": 2}]
+    monkeypatch.setattr(module, "_ELEMENT_ENCODER", CountingEncoder)
+    out = tmp_path / "out"
+    assert main(["compile", "--spec", str(spec_file), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.loads((out / "model.json").read_text())["elements"] == calls[0]
 
 
 GOLDEN_SPECS = Path(__file__).parent / "golden" / "specs"
@@ -494,18 +500,24 @@ def test_unknown_arch_override_exits_1(command, tmp_path, spec_file, capsys):
 def test_recompile_of_a_smaller_spec_matches_a_fresh_compile(tmp_path, capsys):
     """A second compile into the same directory leaves each file it writes
     byte-equal to a fresh compile's, though every file (model.json too)
-    shrinks."""
+    shrinks.  The HDL of the slaves the design no longer has is removed;
+    a hand-written ``.sv`` file without the generated banner stays."""
     large, small = tmp_path / "large.json", tmp_path / "small.json"
     large.write_text(json.dumps(make_spec_doc(n_slaves=4, regs_per_slave=8)))
     small.write_text(json.dumps(make_spec_doc(n_slaves=2, regs_per_slave=2)))
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
     assert main(["compile", "--spec", str(large), "--out", str(reused)]) == 0
+    notes = "// notes\n// kept by hand\nmodule notes; endmodule\n"
+    (reused / "notes.sv").write_text(notes)
     before = {p.name: p.stat().st_size for p in reused.iterdir()}
     assert main(["compile", "--spec", str(small), "--out", str(reused)]) == 0
     assert main(["compile", "--spec", str(small), "--out", str(fresh)]) == 0
     for path in fresh.iterdir():
         assert (reused / path.name).read_bytes() == path.read_bytes(), path.name
         assert path.stat().st_size < before[path.name], path.name
+    assert {p.name for p in reused.glob("*.sv")} == {p.name for p in fresh.glob("*.sv")} | {
+        "notes.sv"}
+    assert (reused / "notes.sv").read_text() == notes
 
 
 @pytest.mark.parametrize("where", ["directory", "missing_parent"])

@@ -106,7 +106,7 @@ def test_corpus_covers_every_topology_and_is_valid():
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_compile_output_matches_pin(name, tmp_path, capsys):
+def test_compile_output_matches_pin(name, tmp_path):
     pinned = json.loads(PIN.read_text())[name]
     assert compile_hashes(CORPUS[name], tmp_path / name) == pinned
 

@@ -840,6 +840,30 @@ def test_parse_script_rejects_malformed(doc):
         parse_script(json.dumps(doc))
 
 
+# A malformed write after a well-formed one: the writes are read again by
+# the checked readers, which raise at its path.
+@pytest.mark.parametrize("entry, message", [
+    ({"at_cycle": 1, "addr": 0, "data": True}, "$.writes[1].data: expected integer, got boolean"),
+    ({"at_cycle": 1, "addr": 0.5}, "$.writes[1].addr: expected integer, got float"),
+    ({"at_cycle": 1, "adr": 0}, "$.writes[1]: unknown field(s): adr"),
+    (3, "$.writes[1]: expected object, got int"),
+])
+def test_malformed_write_after_plain_one_raises_at_its_path(entry, message):
+    text = json.dumps({"writes": [{"at_cycle": 0, "addr": 1, "data": 2}, entry]})
+    with pytest.raises(SpecError) as raised:
+        parse_script(text)
+    assert str(raised.value) == message
+
+
+def test_plain_and_hex_writes_parse_alike():
+    writes = [{"at_cycle": 0, "addr": 1, "data": 2}, {"at_cycle": 2}]
+    plain = parse_script(json.dumps({"writes": writes}))
+    writes[1]["at_cycle"] = "0x2"
+    assert parse_script(json.dumps({"writes": writes})) == plain
+    assert plain.writes == ((0, 1, 2), (2, 0, 0))
+    assert type(plain.writes[1]) is ScriptWrite
+
+
 def test_unknown_script_slave_raises(distributed_spec):
     sim = build_sim(distributed_spec)
     with pytest.raises(SimError):

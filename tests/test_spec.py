@@ -42,6 +42,44 @@ def test_parse_hex_integers():
     assert spec.slaves[0].base_addr == 16
 
 
+# A malformed register after well-formed ones in the same array: the
+# array is read again by the checked readers, which raise at its path.
+@pytest.mark.parametrize("entry, message", [
+    ({"name": "bad", "offset": 3, "width": True},
+     "$.slaves[1].registers[3].width: expected integer, got boolean"),
+    ({"name": "bad", "offset": 3.0, "width": 8},
+     "$.slaves[1].registers[3].offset: expected integer, got float"),
+    ({"name": "bad", "offset": 3, "width": 8, "resetvalue": 1},
+     "$.slaves[1].registers[3]: unknown field(s): resetvalue"),
+    ({"offset": 3, "width": 8}, "$.slaves[1].registers[3]: missing required field 'name'"),
+    (["name", "offset"], "$.slaves[1].registers[3]: expected object, got list"),
+    ({"name": "bad", "offset": 3, "width": 8, "reset_value": False},
+     "$.slaves[1].registers[3].reset_value: expected integer, got boolean"),
+    ({"name": 5, "offset": 3, "width": 8},
+     "$.slaves[1].registers[3].name: expected string, got int"),
+])
+def test_malformed_register_after_plain_ones_raises_at_its_path(entry, message):
+    doc = make_spec_doc(n_slaves=2, regs_per_slave=3)
+    doc["slaves"][1]["registers"].append(entry)
+    with pytest.raises(SpecError) as raised:
+        parse_spec(json.dumps(doc))
+    assert str(raised.value) == message
+    assert raised.value.path == message.split(": ")[0]
+
+
+def test_hex_string_register_parses_as_its_number():
+    doc = make_spec_doc(n_slaves=2, regs_per_slave=3, width=8)
+    plain = parse_spec(json.dumps(doc))
+    doc["slaves"][1]["registers"][2]["reset_value"] = "0x1f"
+    hexed = parse_spec(json.dumps(doc))
+    doc["slaves"][1]["registers"][2]["reset_value"] = 31
+    assert hexed == parse_spec(json.dumps(doc)) != plain
+    assert hexed.slaves[1].registers[2] == SettingSpec("r2", 2, 8, 31)
+    assert {type(r) for s in plain.slaves + hexed.slaves for r in s.registers} == {SettingSpec}
+    del doc["slaves"][1]["registers"][2]["reset_value"]
+    assert parse_spec(json.dumps(doc)) == plain
+
+
 def test_undefined_clock_domain_flagged():
     doc = make_spec_doc()
     doc["slaves"][0]["clock_domain"] = "fast"
