@@ -136,7 +136,8 @@ _SWAP_KEYS = frozenset(("at_ps", "slave", "new_spec_fragment"))
 def _plain_writes(items: list) -> list[ScriptWrite] | None:
     """The writes of ``items`` when every entry is a dict of known keys
     whose fields are ``int`` (not ``bool``) or absent.  None when one is
-    not, for the checked readers to judge."""
+    not, for the checked readers to judge.  Checked a column at a time,
+    which beats one entry at a time on scripts of hundreds of writes."""
     if not ({*map(type, items)} <= {dict} and all(map(_WRITE_KEYS.issuperset, items))):
         return None
     cycles = [obj.get("at_cycle", 0) for obj in items]
