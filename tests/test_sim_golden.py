@@ -11,6 +11,7 @@ Regenerate (only when a change is meant to alter simulator output) with
     PYTHONPATH=src python tests/test_sim_golden.py
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -20,10 +21,15 @@ import pytest
 
 from regforge import build_sim, parse_spec
 from regforge.sim import (
+    CONFIG_CHANGED,
+    READY_CHANGED,
+    VALUE_SAMPLED,
     BusyWindow,
+    CoherenceViolation,
     ProgramScript,
     ScriptWrite,
     SwapRequest,
+    check_coherence,
     trace_to_csv,
 )
 from regforge.spec import SettingSpec, address_map
@@ -257,6 +263,12 @@ CASES = {
 }
 
 
+@functools.cache
+def simulated(name):
+    """The corpus case ``name``, run once for every test that reads it."""
+    return CASES[name]()
+
+
 def digest(sim) -> dict:
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
@@ -280,9 +292,48 @@ def test_corpus_matches_recorded_cases(golden):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_and_state_hashes_match(golden, name):
-    assert digest(CASES[name]()) == golden[name]
+    assert digest(simulated(name)) == golden[name]
+
+
+def reference_check_coherence(trace, reset_values=None):
+    """The coherence scan as it read each event's fields by name, kept
+    as the reference for the one-pass scan that replaced it."""
+    resets = reset_values or {}
+    ready = {}
+    valid = {}
+    found = []
+    for e in trace:
+        kind = e.kind
+        if kind == READY_CHANGED:
+            ready[e.slave] = bool(e.data)
+        elif kind == CONFIG_CHANGED:
+            if not ready.get(e.slave, False):
+                found.append(("busy_write", e))
+            key = (e.slave, e.addr)
+            valid.setdefault(key, {resets.get(key, 0)}).add(e.data)
+        elif kind == VALUE_SAMPLED:
+            key = (e.slave, e.addr)
+            if e.data not in valid.setdefault(key, {resets.get(key, 0)}):
+                found.append(("torn_word", e))
+    return [
+        CoherenceViolation(kind, e.time_ps, e.slave, e.addr, e.data)
+        for kind, e in found
+        if kind == "torn_word" or e.slave in ready
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_coherence_scan_matches_reference(name):
+    sim = simulated(name)
+    for resets in (sim.initial_resets, None):
+        assert check_coherence(sim.trace, resets) == reference_check_coherence(sim.trace, resets)
+
+
+def test_coherence_corpus_has_every_violation_kind():
+    kinds = {v.kind for name in CASES for v in simulated(name).check_coherence()}
+    assert kinds == {"busy_write", "torn_word"}
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: digest(CASES[name]()) for name in sorted(CASES)},
+    GOLDEN.write_text(json.dumps({name: digest(simulated(name)) for name in sorted(CASES)},
                                  indent=1, sort_keys=True) + "\n")
