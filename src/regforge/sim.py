@@ -21,25 +21,29 @@ while the slave is busy is visible as a half-updated word for one
 configuration period.  This exists to prove the coherence checker can
 detect the hazard the handshake prevents.
 
-Time advances from event to event rather than edge by edge: a clock
-domain steps an edge only when that edge can do something, and otherwise
-jumps straight to its first edge at or after the earliest time it next
-can, or past the end of the run.  A slave domain's edge only samples the
-domain's busy slaves, so while none of them is busy the domain waits for
-the next busy-window start or end.  The configuration edge has work
-while a write is due or held, while a slave of its own domain is busy,
-or while a distributed slave is unsettled: its next edge would change
-its sync chain or its ready.  A slave settles once its chain holds only
-its busy bit and its ready is the inverse of that bit, and it becomes
+Time advances from event to event rather than edge by edge.  ``run``
+cuts the run at the times the whole-domain view changes: a busy window
+starts or ends, or a swap falls due.  A swap changes no domain's work,
+so it is applied at its own time, before any edge at or after it.
+Between two such times the busy slaves are fixed, and one loop runs the
+configuration edges back to back.  The domains that sample are the ones
+with a busy slave, since a domain's edge only samples its busy slaves;
+their edges between two configuration edges are merged in (time,
+domain index) order in one pass per configuration period, and the other
+domains are not stepped at all.  The configuration edge has work while
+a write is due or held, while a slave of its own domain is busy, or
+while a distributed slave is unsettled: its next edge would change its
+sync chain or its ready.  A slave settles once its chain holds only its
+busy bit and its ready is the inverse of that bit, and it becomes
 unsettled when a busy window of it starts or ends, or when a new script
-drops the window it was still busy in.  Otherwise the configuration edge
-waits for the next scripted write to fall due or the next busy-window
-start or end, and the skipped edges are added to ``cycle``, so a long
-busy window steps only the few edges at each end.  On the edges it does
-step, only busy slaves sample and only unsettled slaves shift their
-chains, in slave-index order.  A swap changes no domain's work, so it is
-applied before the first edge stepped at or after its time.  The trace
-and final state are the same as stepping every edge.
+drops the window it was still busy in.  Otherwise the loop jumps to the
+next scripted write falling due, or to the next change of view, and the
+skipped edges are added to ``cycle``, so a long busy window steps only
+the few configuration edges at each end.  On the edges it does step,
+only unsettled slaves shift their chains, in slave-index order, and
+``edges_stepped`` counts the stepped edges of each domain.  The trace
+and final state are the same as stepping every edge, which
+``tests/test_sim_reference.py`` checks against an every-edge reference.
 """
 
 from __future__ import annotations
@@ -232,9 +236,9 @@ class Simulation:
 
         self.domains = [(d.name, d.period_ps) for d in spec.clock_domains]
         self._periods = [d.period_ps for d in spec.clock_domains]
-        self._next_edge = [d.period_ps for d in spec.clock_domains]
         self.time_ps = 0
         self.cycle = 0  # index of the next configuration-clock edge
+        self.edges_stepped = [0] * len(self.domains)  # per domain, edges run rather than skipped
 
         self.slave_names = [s.name for s in spec.slaves]
         self._slave_idx = {s.name: i for i, s in enumerate(spec.slaves)}
@@ -272,7 +276,7 @@ class Simulation:
         # master
         self._queue: list[ScriptWrite] = []
         self._queue_pos = 0
-        self._current: tuple[int, int, int, int] | None = None  # (addr, data, slave, issue)
+        self._current: tuple[int, int, int, int] | None = None  # (addr, data, slave, offset)
         self._held = 0
         self.timed_out = False
 
@@ -291,9 +295,6 @@ class Simulation:
         self.trace: list[TraceEvent] = []
 
     # -- helpers ----------------------------------------------------------
-
-    def _emit(self, time_ps, kind, slave="", addr=None, data=None, detail=""):
-        self.trace.append(TraceEvent(time_ps, kind, slave, addr, data, detail))
 
     def _bind_script(self, script: ProgramScript) -> None:
         for w in script.writes:
@@ -359,122 +360,6 @@ class Simulation:
         next_start = windows[pos][0] if pos < len(windows) else math.inf
         self._busy_change = min([next_start, *busy_end.values()])
 
-    def _wake_time(self, d: int, t: int, end: int) -> int:
-        """Earliest time domain ``d``'s edge at ``t`` or later can do
-        anything: ``t`` or earlier when that edge has work, else a busy
-        window starting or ending, a write falling due, or ``end``."""
-        if d:
-            # a slave domain's edge only samples its busy slaves
-            return t if self._busy_in[d] else min(self._busy_change, end)
-        if self._current is not None or self._unsettled or self._busy_in[0]:
-            return t
-        wake = min(self._busy_change, end)
-        if self._queue_pos < len(self._queue):
-            due = self._queue[self._queue_pos].at_cycle
-            wake = min(wake, t + (due - self.cycle) * self._periods[0])
-        return wake
-
-    def _skip_to(self, d: int, wake: int) -> None:
-        """Pass over domain ``d``'s edges before ``wake`` without stepping them."""
-        period = self._periods[d]
-        skipped = (wake - self._next_edge[d] - 1) // period + 1
-        self._next_edge[d] += skipped * period
-        if d == 0:
-            self.cycle += skipped
-
-    # -- clock edges ------------------------------------------------------
-
-    def _config_edge(self, t: int, commits: list) -> None:
-        cycle = self.cycle
-        queue = self._queue
-
-        if self._current is None and self._queue_pos < len(queue):
-            head = queue[self._queue_pos]
-            if head.at_cycle <= cycle:
-                self._queue_pos += 1
-                match = self._decode.get(head.addr)
-                if match is None:
-                    self._emit(t, WRITE_ISSUED, "", head.addr, head.data)
-                    self._emit(
-                        t, VIOLATION, "", head.addr, head.data, detail="decode_no_match"
-                    )
-                else:
-                    self._emit(
-                        t, WRITE_ISSUED, self.slave_names[match[0]], head.addr, head.data
-                    )
-                    self._current = (head.addr, head.data, match[0], cycle)
-                    self._held = 0
-
-        if self._current is not None:
-            addr, data, sidx, _issue = self._current
-            gate_open = (not self.distributed) or self._ready[sidx] or self.fault_mode
-            if gate_open:
-                offset = addr - self._base[sidx]
-                width = self._widths[sidx][offset]
-                # mask only data wider than the setting: a width can be too
-                # large to build 1 << width
-                value = data if data >> width == 0 else data & ((1 << width) - 1)
-                name = self.slave_names[sidx]
-                self._emit(t, WRITE_ACCEPTED, name, addr, data)
-                self._emit(t, CONFIG_CHANGED, name, addr, value)
-                commits.append((sidx, offset, value))
-                if self.fault_mode and self.distributed and sidx in self._busy_end:
-                    old = self._mem[sidx][offset]
-                    # old's bits from `half` up over value's low `half` bits,
-                    # by shifts sized by the values, not by the width
-                    half = width // 2
-                    low = value - ((value >> half) << half)
-                    torn = ((old >> half) << half) | low
-                    self._tears[(sidx, offset)] = (t, t + self._periods[0], torn)
-                self._current = None
-                self._held = 0
-            else:
-                self._held += 1
-                if self._held > self.timeout_cycles:
-                    self._emit(t, VIOLATION, self.slave_names[sidx], addr, data,
-                               detail="timeout")
-                    self.timed_out = True
-                    self._current = None
-                    self._held = 0
-
-    def _sample_edge(self, domain: int, t: int) -> None:
-        for sidx in self._busy_in[domain]:
-            offsets = self._offsets[sidx]
-            if not offsets:
-                continue
-            offset = offsets[self._rotation[sidx] % len(offsets)]
-            self._rotation[sidx] += 1
-            value = self._visible(sidx, offset, t)
-            self._emit(
-                t, VALUE_SAMPLED, self.slave_names[sidx], self._base[sidx] + offset, value
-            )
-
-    def _visible(self, sidx: int, offset: int, t: int) -> int:
-        tear = self._tears.get((sidx, offset))
-        if tear is not None and tear[0] < t < tear[1]:
-            return tear[2]
-        return self._mem[sidx][offset]
-
-    def _commit_config_edge(self, t: int, commits: list) -> None:
-        for sidx, offset, value in commits:
-            self._mem[sidx][offset] = value
-        # a settled slave shifts its busy bit into a chain that already
-        # holds only that bit and keeps its ready, so only the others are
-        # visited
-        unsettled, busy_end = self._unsettled, self._busy_end
-        for sidx in sorted(unsettled):
-            chain = self._busy_sync[sidx]
-            synced = chain.pop()
-            busy = sidx in busy_end
-            chain.insert(0, 1 if busy else 0)
-            new_ready = not synced
-            if new_ready != self._ready[sidx]:
-                self._ready[sidx] = new_ready
-                self._emit(t, READY_CHANGED, self.slave_names[sidx], data=int(new_ready))
-            if new_ready != busy and (all(chain) if busy else not any(chain)):
-                unsettled.discard(sidx)
-        self.cycle += 1
-
     def _apply_swaps_until(self, t: int) -> None:
         while self._swap_pos < len(self._swaps) and self._swaps[self._swap_pos].at_ps <= t:
             req = self._swaps[self._swap_pos]
@@ -486,32 +371,155 @@ class Simulation:
     def run(self, script: ProgramScript, until_ps: int) -> "Simulation":
         """Execute the script up to and including time ``until_ps``."""
         self._bind_script(script)
-        next_edge, periods = self._next_edge, self._periods
-        domains = range(len(periods))
+        append, new, event = self.trace.append, tuple.__new__, TraceEvent
+        names, base, decode = self.slave_names, self._base, self._decode
+        widths, mem, offsets, rotation = self._widths, self._mem, self._offsets, self._rotation
+        ready, chains, unsettled, tears = self._ready, self._busy_sync, self._unsettled, self._tears
+        busy_end, periods, stepped = self._busy_end, self._periods, self.edges_stepped
+        gated = self.distributed and not self.fault_mode  # a write can be held on ready
+        tearing = self.distributed and self.fault_mode  # a write to a busy slave tears
+        timeout, swaps, period = self.timeout_cycles, self._swaps, periods[0]
+        queue = [*self._queue, (math.inf, 0, 0)]  # the last entry never falls due
+        qpos, current, held, cycle = self._queue_pos, self._current, self._held, self.cycle
+        t0 = (cycle + 1) * period  # the next configuration edge
         end = until_ps + 1
-        while True:
-            t = min(next_edge)
-            if t > until_ps:
-                break
-            if t >= self._busy_change:
-                self._update_busy(t)
-            self._apply_swaps_until(t)
-            commits = None
-            for d in domains:
-                if next_edge[d] != t:
-                    continue
-                wake = self._wake_time(d, t, end)
-                if wake > t:
-                    self._skip_to(d, wake)
-                    continue
-                if d == 0:
-                    commits = []
-                    self._config_edge(t, commits)
-                if self._busy_in[d]:
-                    self._sample_edge(d, t)
-                next_edge[d] += periods[d]
-            if commits is not None:
-                self._commit_config_edge(t, commits)
+        start = self.time_ps + 1  # every edge before this has run
+
+        def sample_until(lim):
+            """Step the sampling domains' edges before ``lim`` in (time, domain
+            index) order, and return the time of the next one."""
+            while True:
+                entry = min(sampling) if len(sampling) > 1 else sampling[0]
+                t = entry[0]
+                if t >= lim:
+                    return t
+                entry[0] = t + entry[2]
+                for sidx in entry[3]:
+                    offs = offsets[sidx]
+                    if offs:
+                        n = rotation[sidx]
+                        rotation[sidx] = n + 1
+                        offset = offs[n % len(offs)]
+                        value = mem[sidx][offset]
+                        if tears:
+                            tear = tears.get((sidx, offset))
+                            if tear is not None and tear[0] < t < tear[1]:
+                                value = tear[2]
+                        append(new(event, (t, VALUE_SAMPLED, names[sidx], base[sidx] + offset,
+                                           value, "")))
+
+        while start < end:
+            # the whole-domain view changes only here: windows start or end
+            # and swaps apply, each before the first edge at or after its time
+            if self._busy_change <= start:
+                self._update_busy(start)
+            if self._swap_pos < len(swaps) and swaps[self._swap_pos].at_ps <= start:
+                self._queue_pos, self._current, self._held, self.cycle = qpos, current, held, cycle
+                self._apply_swaps_until(start)
+            stop = min(self._busy_change, end)
+            if self._swap_pos < len(swaps):
+                stop = min(stop, swaps[self._swap_pos].at_ps)
+            busy0 = self._busy_in[0]
+            # [next edge, domain, period, busy slaves] of each domain that
+            # samples; the configuration domain's slaves sample on its edges
+            sampling = [[-(-start // step) * step, d, step, slaves]
+                        for d, (step, slaves) in enumerate(zip(periods, self._busy_in)) if slaves]
+            first = [entry[0] for entry in sampling]
+            nxt = min(first) if sampling else math.inf
+            cycle0, skipped = cycle, 0
+
+            # configuration edges back to back until ``stop``, with the
+            # sampling domains' edges between them
+            while True:
+                if current is None:
+                    due = queue[qpos][0]
+                    if due > cycle and not unsettled and not busy0:
+                        # nothing to do before the next write falls due
+                        t = -(-min((due + 1) * period, stop) // period) * period
+                        if t > t0:
+                            skip = (t - t0) // period
+                            skipped += skip
+                            cycle += skip
+                            t0 = t
+                lim = t0 if t0 < stop else stop
+                if nxt < lim:
+                    nxt = sample_until(lim)
+                if t0 >= stop:
+                    break
+                # the master: the write on the bus is the held one, or the
+                # next one if it is due and decodes
+                on_bus = current is not None
+                if on_bus:
+                    addr, data, sidx, offset = current
+                elif due <= cycle:
+                    _at, addr, data = queue[qpos]
+                    qpos += 1
+                    match = decode.get(addr)
+                    if match is None:
+                        append(new(event, (t0, WRITE_ISSUED, "", addr, data, "")))
+                        append(new(event, (t0, VIOLATION, "", addr, data, "decode_no_match")))
+                    else:
+                        sidx, offset = match
+                        append(new(event, (t0, WRITE_ISSUED, names[sidx], addr, data, "")))
+                        held = 0
+                        on_bus = True
+                if on_bus:
+                    if ready[sidx] or not gated:
+                        width = widths[sidx][offset]
+                        # mask only data wider than the setting: a width can be
+                        # too large to build 1 << width
+                        value = data if data >> width == 0 else data & ((1 << width) - 1)
+                        name = names[sidx]
+                        append(new(event, (t0, WRITE_ACCEPTED, name, addr, data, "")))
+                        append(new(event, (t0, CONFIG_CHANGED, name, addr, value, "")))
+                        if tearing and sidx in busy_end:
+                            old = mem[sidx][offset]
+                            # old's bits from `half` up over value's low `half`
+                            # bits, by shifts sized by the values, not the width
+                            half = width // 2
+                            low = value - ((value >> half) << half)
+                            tears[(sidx, offset)] = (t0, t0 + period,
+                                                     ((old >> half) << half) | low)
+                        # two-phase: the samples at t0 see the word before the write
+                        if nxt <= t0:
+                            nxt = sample_until(t0 + 1)
+                        mem[sidx][offset] = value
+                        current = None
+                    else:
+                        held += 1
+                        if held > timeout:
+                            append(new(event, (t0, VIOLATION, names[sidx], addr, data,
+                                               "timeout")))
+                            self.timed_out = True
+                            current = None
+                        else:
+                            current = (addr, data, sidx, offset)
+                if nxt <= t0:
+                    nxt = sample_until(t0 + 1)
+                if unsettled:
+                    # a settled slave shifts its busy bit into a chain that
+                    # already holds only that bit and keeps its ready
+                    for sidx in sorted(unsettled):
+                        chain = chains[sidx]
+                        synced = chain.pop()
+                        busy = sidx in busy_end
+                        chain.insert(0, 1 if busy else 0)
+                        if synced == ready[sidx]:
+                            ready[sidx] = not synced
+                            append(new(event, (t0, READY_CHANGED, names[sidx], None,
+                                               1 - synced, "")))
+                        if synced == busy and (all(chain) if busy else not any(chain)):
+                            unsettled.discard(sidx)
+                cycle += 1
+                t0 += period
+
+            stepped[0] += cycle - cycle0 - skipped
+            for (t, d, step, _slaves), t_first in zip(sampling, first):
+                if d:
+                    stepped[d] += (t - t_first) // step
+            start = stop
+
+        self._queue_pos, self._current, self._held, self.cycle = qpos, current, held, cycle
         self._apply_swaps_until(until_ps)
         self.time_ps = max(self.time_ps, until_ps)
         return self
@@ -547,7 +555,7 @@ class Simulation:
             raise SimError(f"unknown slave {slave!r}")
 
         def refuse(reason: str) -> "Simulation":
-            self._emit(t, VIOLATION, slave, detail=f"swap_refused:{reason}")
+            self.trace.append(TraceEvent(t, VIOLATION, slave, detail=f"swap_refused:{reason}"))
             return self
 
         if not self.distributed:
@@ -575,9 +583,9 @@ class Simulation:
         for offset in self._widths[sidx]:
             self._decode[base + offset] = (sidx, offset)
 
-        self._emit(t, SWAP_PERFORMED, slave)
-        for reg in sorted(registers, key=lambda r: r.offset):
-            self._emit(t, CONFIG_CHANGED, slave, base + reg.offset, reg.reset_value)
+        self.trace.append(TraceEvent(t, SWAP_PERFORMED, slave))
+        self.trace += [TraceEvent(t, CONFIG_CHANGED, slave, base + reg.offset, reg.reset_value)
+                       for reg in sorted(registers, key=lambda r: r.offset)]
         return self
 
     def check_coherence(self) -> list[CoherenceViolation]:
@@ -667,22 +675,31 @@ def check_coherence(
     ready: dict[str, bool] = {}
     valid: dict[tuple[str, int], set[int]] = {}
     found: list[tuple[str, TraceEvent]] = []
-
+    # one pass, reading each field by index: a NamedTuple's attributes and
+    # unpacking both cost more
     for e in trace:
-        kind = e.kind
-        if kind == READY_CHANGED:
-            ready[e.slave] = bool(e.data)
-        elif kind == CONFIG_CHANGED:
-            if not ready.get(e.slave, False):
-                found.append(("busy_write", e))
-            key = (e.slave, e.addr)
-            valid.setdefault(key, {resets.get(key, 0)}).add(e.data)
-        elif kind == VALUE_SAMPLED:
-            key = (e.slave, e.addr)
-            if e.data not in valid.setdefault(key, {resets.get(key, 0)}):
+        kind = e[1]
+        if kind == VALUE_SAMPLED:
+            key = (e[2], e[3])
+            values = valid.get(key)
+            if values is None:
+                values = valid[key] = {resets.get(key, 0)}
+            if e[4] not in values:
                 found.append(("torn_word", e))
+        elif kind == CONFIG_CHANGED:
+            slave = e[2]
+            if not ready.get(slave, False):
+                found.append(("busy_write", e))
+            key = (slave, e[3])
+            values = valid.get(key)
+            if values is None:
+                valid[key] = {resets.get(key, 0), e[4]}
+            else:
+                values.add(e[4])
+        elif kind == READY_CHANGED:
+            ready[e[2]] = bool(e[4])
     return [
-        CoherenceViolation(kind, e.time_ps, e.slave, e.addr, e.data)
+        CoherenceViolation(kind, e[0], e[2], e[3], e[4])
         for kind, e in found
-        if kind == "torn_word" or e.slave in ready
+        if kind == "torn_word" or e[2] in ready
     ]

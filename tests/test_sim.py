@@ -19,7 +19,6 @@ from regforge.sim import (
     BusyWindow,
     ProgramScript,
     ScriptWrite,
-    Simulation,
     SwapRequest,
     TraceEvent,
     trace_to_csv,
@@ -298,21 +297,7 @@ def test_empty_script_only_clocks(distributed_spec):
     assert sim.time_ps == 50 * CFG
 
 
-def _count_config_edges(monkeypatch):
-    """Count the configuration edges the simulator steps."""
-    stepped = []
-    config_edge = Simulation._config_edge
-
-    def counting_config_edge(self, t, commits):
-        stepped.append(t)
-        config_edge(self, t, commits)
-
-    monkeypatch.setattr(Simulation, "_config_edge", counting_config_edge)
-    return stepped
-
-
-def test_idle_cost_scales_with_events_not_cycles(distributed_spec, monkeypatch):
-    stepped = _count_config_edges(monkeypatch)
+def test_idle_cost_scales_with_events_not_cycles(distributed_spec):
     script = ProgramScript(
         writes=(ScriptWrite(10, 0, 1), ScriptWrite(400_000, 5, 2), ScriptWrite(999_000, 3, 3)),
         busy_windows=(BusyWindow("slave1", 500_000 * CFG, 500_020 * CFG),),
@@ -321,15 +306,16 @@ def test_idle_cost_scales_with_events_not_cycles(distributed_spec, monkeypatch):
     assert sim.cycle == 1_000_000
     assert sum(e.kind == "write_accepted" for e in sim.trace) == 3
     assert sum(e.kind == "value_sampled" for e in sim.trace) == 29  # 20 cycles at 7,000 ps
-    assert len(stepped) < 100
+    # the three writes and both ends of the window each step a few edges
+    assert 5 <= sim.edges_stepped[0] < 100
+    assert sim.edges_stepped[1] == 29
 
 
 @pytest.mark.parametrize("topology,limit", [("distributed", 10), ("global_cdc_dest", 2)])
-def test_long_busy_window_steps_few_config_edges(topology, limit, monkeypatch):
+def test_long_busy_window_steps_few_config_edges(topology, limit):
     # once slave0's chain is all ones and its ready is low (at once on a
     # centralized design, which has no chains) the window's config edges
     # have nothing to do until it ends
-    stepped = _count_config_edges(monkeypatch)
     spec = make_spec(n_slaves=2, regs_per_slave=2, topology=topology, global_depth=16,
                      global_width=32)
     script = ProgramScript(
@@ -340,42 +326,46 @@ def test_long_busy_window_steps_few_config_edges(topology, limit, monkeypatch):
     assert sim.cycle == 200_000
     assert sum(e.kind == "write_accepted" for e in sim.trace) == 1
     assert sum(e.kind == "value_sampled" for e in sim.trace) == 142_857
-    assert len(stepped) <= limit
+    assert 0 < sim.edges_stepped[0] <= limit
+    assert sim.edges_stepped[1] == 142_857
 
 
-def _count_slave_edges(monkeypatch):
-    """Count the slave-domain edges the simulator steps."""
-    stepped = []
-    sample_edge = Simulation._sample_edge
-
-    def counting_sample_edge(self, domain, t):
-        if domain:
-            stepped.append(t)
-        sample_edge(self, domain, t)
-
-    monkeypatch.setattr(Simulation, "_sample_edge", counting_sample_edge)
-    return stepped
-
-
-def test_dense_writes_step_no_idle_slave_edge(distributed_spec, rng, monkeypatch):
-    stepped = _count_slave_edges(monkeypatch)
+def test_dense_writes_step_no_idle_slave_edge(distributed_spec, rng):
     script, until = random_script(distributed_spec, rng, 300)
     sim = build_sim(distributed_spec).run(script, until)
     assert sum(e.kind == "write_accepted" for e in sim.trace) == 300
-    assert len(stepped) == sum(e.kind == "value_sampled" for e in sim.trace) == 0
+    assert sum(e.kind == "value_sampled" for e in sim.trace) == 0
+    # one configuration edge per write, and the first edge, where ready rises
+    assert 300 < sim.edges_stepped[0] <= 310
+    assert sim.edges_stepped[1] == 0
 
 
-def test_window_between_config_edges_is_sampled_on_each_edge(monkeypatch):
+def test_window_between_config_edges_is_sampled_on_each_edge():
     # the config domain is busy with back-to-back writes while a 3,000 ps
     # slave is busy from 21,000 to 29,000 ps, between config edges 2 and 3
-    stepped = _count_slave_edges(monkeypatch)
     spec = make_spec(n_slaves=2, regs_per_slave=2, periods=(10_000, 3_000))
     writes = tuple(ScriptWrite(c, 2 + c % 2, c) for c in range(8))
     script = ProgramScript(writes, (BusyWindow("slave0", 21_000, 29_000),))
     sim = build_sim(spec).run(script, 100_000)
     sampled = [e.time_ps for e in sim.trace if e.kind == "value_sampled"]
-    assert sampled == stepped == [21_000, 24_000, 27_000]
+    assert sampled == [21_000, 24_000, 27_000]
+    assert sim.edges_stepped[1] == 3
+    assert 8 <= sim.edges_stepped[0] <= 10
     assert sum(e.kind == "write_accepted" for e in sim.trace) == 8
+
+
+def test_edges_stepped_add_up_over_runs(distributed_spec):
+    sim = build_sim(distributed_spec)
+    script = ProgramScript(busy_windows=(BusyWindow("slave0", 0, 5 * CFG),))
+    sim.run(script, 10 * CFG)
+    assert sim.edges_stepped[1] == 7  # 7,000 ps edges before 50,000 ps
+    first = list(sim.edges_stepped)
+    assert first[0] > 0
+    # every slave has settled and nothing is scripted: nothing to step
+    sim.run(ProgramScript(), 20 * CFG)
+    assert sim.edges_stepped == first
+    sim.run(ProgramScript(writes=(ScriptWrite(0, 0, 1),)), 30 * CFG)
+    assert sim.edges_stepped == [first[0] + 1, first[1]]
 
 
 def test_determinism_same_script_same_trace_hash(distributed_spec, rng):
