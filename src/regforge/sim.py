@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -673,27 +674,27 @@ def check_coherence(
     # ready of each slave that has changed it; whether a slave never does,
     # and so is exempt from (a), is known only once the scan ends
     ready: dict[str, bool] = {}
-    valid: dict[tuple[str, int], set[int]] = {}
+    valid: defaultdict[str, dict[int, set[int]]] = defaultdict(dict)  # slave -> addr -> values
     found: list[tuple[str, TraceEvent]] = []
     # one pass, reading each field by index: a NamedTuple's attributes and
     # unpacking both cost more
     for e in trace:
         kind = e[1]
         if kind == VALUE_SAMPLED:
-            key = (e[2], e[3])
-            values = valid.get(key)
+            words, addr = valid[e[2]], e[3]
+            values = words.get(addr)
             if values is None:
-                values = valid[key] = {resets.get(key, 0)}
+                values = words[addr] = {resets.get((e[2], addr), 0)}
             if e[4] not in values:
                 found.append(("torn_word", e))
         elif kind == CONFIG_CHANGED:
-            slave = e[2]
+            slave, addr = e[2], e[3]
             if not ready.get(slave, False):
                 found.append(("busy_write", e))
-            key = (slave, e[3])
-            values = valid.get(key)
+            words = valid[slave]
+            values = words.get(addr)
             if values is None:
-                valid[key] = {resets.get(key, 0), e[4]}
+                words[addr] = {resets.get((slave, addr), 0), e[4]}
             else:
                 values.add(e[4])
         elif kind == READY_CHANGED:

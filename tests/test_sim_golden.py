@@ -5,6 +5,8 @@ records the sha256 of its trace CSV, the sha256 of its violation details
 (which the CSV does not carry) and its ``state_hash()``.  The recorded
 values in ``golden/sim_hashes.json`` pin the simulator's observable
 behaviour: any change to event order, timing or final state fails here.
+The same traces pin ``check_coherence``: its violations must equal, in
+order, those of the attribute-reading scan it replaced, kept below.
 
 Regenerate (only when a change is meant to alter simulator output) with
 
