@@ -375,8 +375,9 @@ class Simulation:
         append, new, event = self.trace.append, tuple.__new__, TraceEvent
         names, base, decode = self.slave_names, self._base, self._decode
         widths, mem, offsets, rotation = self._widths, self._mem, self._offsets, self._rotation
-        ready, chains, unsettled, tears = self._ready, self._busy_sync, self._unsettled, self._tears
-        busy_end, periods, stepped = self._busy_end, self._periods, self.edges_stepped
+        ready, chains, tears = self._ready, self._busy_sync, self._tears
+        unsettled, busy_end = self._unsettled, self._busy_end
+        periods, stepped = self._periods, self.edges_stepped
         gated = self.distributed and not self.fault_mode  # a write can be held on ready
         tearing = self.distributed and self.fault_mode  # a write to a busy slave tears
         timeout, swaps, period = self.timeout_cycles, self._swaps, periods[0]

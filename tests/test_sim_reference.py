@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regforge import build_sim, parse_spec
-from regforge.sim import DEFAULT_TIMEOUT_CYCLES, BusyWindow, ProgramScript, ScriptWrite, SwapRequest
+from regforge.sim import (
+    DEFAULT_TIMEOUT_CYCLES,
+    BusyWindow,
+    ProgramScript,
+    ScriptWrite,
+    SwapRequest,
+)
 from regforge.spec import TOPOLOGIES, SettingSpec, address_map, validate
 
 from bus_oracle import EdgeReference
