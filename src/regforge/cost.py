@@ -40,7 +40,7 @@ from .fields import (
     reject_unknown,
     write_text,
 )
-from .spec import ElaborationOptions, capacity_problem, sync_length_problem
+from .spec import TOPOLOGY_FLAGS, ElaborationOptions, capacity_problem, sync_length_problem
 
 # Short name -> (DesignPoint field, lowest value) of each numeric point
 # field: the bounds spec.validate applies to memory dimensions, setting
@@ -139,7 +139,7 @@ class Calibration:
 
 
 def _is_distributed(point: DesignPoint) -> bool:
-    return point.topology == "distributed"
+    return TOPOLOGY_FLAGS[point.topology].distributed
 
 
 def core_registers(point: DesignPoint) -> int:
@@ -586,9 +586,8 @@ def sweep(
     memories = [(depth, width) for depth in depths for width in widths]
     points = []
     for topology in topologies:
-        grid = memories
-        if topology == "distributed" and memories:
-            grid = [(0, 0)]
+        row = TOPOLOGY_FLAGS.get(topology)  # None raises in DesignPoint below
+        grid = [(0, 0)] if memories and row is not None and row.distributed else memories
         for depth, width in grid:
             for n_targets in targets:
                 for n_slaves in slaves:

@@ -219,7 +219,7 @@ def elaborate_distributed(spec: RegisterMapSpec) -> DesignModel:
 
 def elaborate(spec: RegisterMapSpec) -> DesignModel:
     """Elaborate using the architecture named in the spec."""
-    if spec.architecture.topology == "distributed":
+    if ElaborationOptions.for_topology(spec.architecture.topology).distributed:
         return elaborate_distributed(spec)
     return elaborate_global(spec)
 

@@ -367,16 +367,15 @@ def _global_top(spec: RegisterMapSpec, stages: ElaborationOptions, header: str,
 def emit(model: DesignModel, spec: RegisterMapSpec) -> dict[str, str]:
     """Emit the design as named SystemVerilog files (top + one per slave).
 
-    The stages come from ``TOPOLOGY_FLAGS`` of the model's topology
-    (:class:`SpecError` for a topology outside it); of the model, only
-    the header's hash reads the elements.
+    The family and the stages come from the ``TOPOLOGY_FLAGS`` row of the
+    model's topology (:class:`SpecError` for a topology outside it); of
+    the model, only the header's hash reads the elements.
     """
-    topology = model.topology
-    stages = ElaborationOptions.for_topology(topology)
+    stages = ElaborationOptions.for_topology(model.topology)
     names = _names(spec)
     header = _header(spec, model)
     files: dict[str, str] = {}
-    if topology == "distributed":
+    if stages.distributed:
         files[f"{names.top}.sv"] = _distributed_top(spec, header, names)
         data_width = spec.bus.data_width
         wdata = {w: _slice("cfg_wdata", w == data_width, w) for w in names.ranges}

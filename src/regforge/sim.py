@@ -67,6 +67,7 @@ from .fields import (
     write_text,
 )
 from .spec import (
+    TOPOLOGY_FLAGS,
     RegisterMapSpec,
     SettingSpec,
     global_word_map,
@@ -231,7 +232,7 @@ class Simulation:
         self.spec = spec
         self.fault_mode = fault_mode
         self.timeout_cycles = timeout_cycles
-        self.distributed = arch.topology == "distributed"
+        self.distributed = TOPOLOGY_FLAGS[arch.topology].distributed
         self.sync_length = arch.sync_length
         domain_index = {d.name: i for i, d in enumerate(spec.clock_domains)}
 
@@ -313,8 +314,9 @@ class Simulation:
         self._queue_pos = 0
 
         per_slave: list[list[tuple[int, int]]] = [[] for _ in self.slave_names]
+        first = self.time_ps + 1  # the first edge this run can step
         for w in script.busy_windows:
-            if w.end_ps > w.start_ps:
+            if w.end_ps > w.start_ps and w.end_ps > first:
                 per_slave[self._slave_idx[w.slave]].append((w.start_ps, w.end_ps))
         merged: list[tuple[int, int, int]] = []
         for sidx, windows in enumerate(per_slave):
@@ -582,6 +584,8 @@ class Simulation:
         self._offsets[sidx] = sorted(self._widths[sidx])
         self._mem[sidx] = {r.offset: r.reset_value for r in registers}
         self._rotation[sidx] = 0
+        for key in [key for key in self._tears if key[0] == sidx]:
+            del self._tears[key]  # run reads the dict it holds
         for offset in self._widths[sidx]:
             self._decode[base + offset] = (sidx, offset)
 

@@ -36,6 +36,7 @@ from .fields import (
 class ElaborationOptions:
     output_registered: bool = False
     cdc: bool = False
+    distributed: bool = False
 
     @staticmethod
     def for_topology(topology: str, path: str | None = None) -> "ElaborationOptions":
@@ -47,17 +48,19 @@ class ElaborationOptions:
         return options
 
 
-# Each topology's register stages: the one table that names the topologies
-# and maps each to its stages.  cdc adds a synchronizer chain and a
-# destination register behind every setting bit.
+# Each topology's row: the one table that names the topologies and holds
+# what every layer reads of one.  cdc adds a synchronizer chain and a
+# destination register behind every setting bit of a centralized memory;
+# a distributed design has per-slave settings banks whose writes its
+# slaves' ready handshake gates, and no central memory.
 TOPOLOGY_FLAGS = {
     "global": ElaborationOptions(False, False),
     "global_registered": ElaborationOptions(True, False),
     "global_cdc_dest": ElaborationOptions(True, True),
-    "distributed": ElaborationOptions(False, False),
+    "distributed": ElaborationOptions(distributed=True),
 }
 TOPOLOGIES = tuple(TOPOLOGY_FLAGS)
-GLOBAL_TOPOLOGIES = tuple(t for t in TOPOLOGIES if t != "distributed")
+GLOBAL_TOPOLOGIES = tuple(t for t, row in TOPOLOGY_FLAGS.items() if not row.distributed)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,24 @@
-"""Configuration-bus signal set, write lifecycle, and ready-gated writes.
+"""The every-edge reference semantics of a simulation run.
 
 The bus is write-only and single-master.  A write is held on the bus
-until the addressed slave's registered ``ready`` output is observed high
-at a configuration-clock edge; it completes on the first edge where
-``write & sel & ready`` holds.  Each slave gates its local settings
-memory with that same ``ready``, which is the registered inverse of the
-(synchronized) busy indication from its functional logic, so settings
-never change while the logic that samples them is running.
+until the addressed slave's registered ``ready`` is seen high at a
+configuration-clock edge, and it completes on the first edge where
+``write & sel & ready`` holds.  Each distributed slave passes its busy
+indication through an L-stage synchronizer into the configuration
+domain, and its ``ready`` is the registered inverse of the chain's last
+stage, as ``_distributed_slave`` emits it.  So ``ready`` falls L
+configuration edges after the first edge that sees ``busy``, and
+settings never change while the logic that samples them is running.
 
-The functions here are pure ``(state, inputs) -> state`` steps meant as
-the reference semantics; the cycle simulator implements the same rules
-in-place for speed and is tested against these.  ``EdgeReference``
-replays a whole simulation run (clock domains, the ready synchronizer,
-fault-mode tears, timeouts and swaps) one edge at a time, as the
-reference the simulator's event-driven loop must match event for event.
+``EdgeReference`` replays a whole run one edge at a time (clock domains,
+the ready synchronizer, fault-mode tears, timeouts and swaps) and skips
+nothing.  The simulator's event-driven loop must match it event for
+event; ``test_bus.py`` and ``test_sim_reference.py`` check that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from regforge.sim import (
     CONFIG_CHANGED,
@@ -33,148 +33,7 @@ from regforge.sim import (
     ScriptWrite,
     TraceEvent,
 )
-from regforge.spec import AddressEntry, RegisterMapSpec, validate
-
-PENDING = "pending"
-HELD = "held"
-ACCEPTED = "accepted"
-
-
-@dataclass(frozen=True)
-class BusSignals:
-    """One configuration-clock cycle of master-driven bus state."""
-
-    addr: int = 0
-    wdata: int = 0
-    write: bool = False
-    sel: tuple[bool, ...] = ()
-    ready: tuple[bool, ...] = ()
-
-
-@dataclass
-class WriteTransaction:
-    addr: int
-    data: int
-    state: str = PENDING
-    issue_cycle: int | None = None
-    accept_cycle: int | None = None
-
-
-@dataclass(frozen=True)
-class SlaveConfigBlock:
-    """Per-slave local settings memory plus its ready register."""
-
-    widths: dict[int, int] = field(default_factory=dict)
-    local_memory: dict[int, int] = field(default_factory=dict)
-    ready_state: bool = False
-    busy_input: bool = False
-
-
-def build_decode_table(entries: list[AddressEntry], spec: RegisterMapSpec) -> dict[int, tuple[int, int]]:
-    """Map absolute address -> (slave index, local word offset)."""
-    index = {s.name: i for i, s in enumerate(spec.slaves)}
-    table = {}
-    for entry in entries:
-        slave = spec.slave(entry.slave)
-        reg = next(r for r in slave.registers if r.name == entry.setting)
-        table[entry.address] = (index[entry.slave], reg.offset)
-    return table
-
-
-def decode(addr: int, table: dict[int, tuple[int, int]]) -> tuple[int, int] | None:
-    """Resolve an absolute address, or None when nothing matches."""
-    return table.get(addr)
-
-
-@dataclass
-class MasterState:
-    """In-order single-outstanding write master."""
-
-    num_slaves: int
-    decode_table: dict[int, tuple[int, int]]
-    timeout_cycles: int = DEFAULT_TIMEOUT_CYCLES
-    current: WriteTransaction | None = None
-    current_slave: int | None = None
-    held_cycles: int = 0
-    cycle: int = 0
-    timed_out: list[WriteTransaction] = field(default_factory=list)
-    no_match: list[WriteTransaction] = field(default_factory=list)
-
-
-def master_step(
-    master: MasterState,
-    pending: list[WriteTransaction],
-    ready: tuple[bool, ...],
-) -> tuple[BusSignals, list[WriteTransaction]]:
-    """Advance the master by one configuration-clock edge.
-
-    ``pending`` is consumed in order; the returned signals are what the
-    master drives during this cycle, and the completed list holds any
-    transaction accepted at this edge.  Signals stay stable for as long
-    as a transaction is held.
-    """
-    completed: list[WriteTransaction] = []
-
-    if master.current is None and pending:
-        txn = pending.pop(0)
-        txn.state = HELD
-        txn.issue_cycle = master.cycle
-        master.current = txn
-        master.held_cycles = 0
-        match = decode(txn.addr, master.decode_table)
-        if match is None:
-            master.no_match.append(txn)
-            master.current = None
-            master.current_slave = None
-        else:
-            master.current_slave = match[0]
-
-    txn = master.current
-    if txn is None:
-        signals = BusSignals(sel=(False,) * master.num_slaves, ready=ready)
-        master.cycle += 1
-        return signals, completed
-
-    sel = tuple(i == master.current_slave for i in range(master.num_slaves))
-    signals = BusSignals(addr=txn.addr, wdata=txn.data, write=True, sel=sel, ready=ready)
-
-    if ready[master.current_slave]:
-        txn.state = ACCEPTED
-        txn.accept_cycle = master.cycle
-        completed.append(txn)
-        master.current = None
-        master.current_slave = None
-        master.held_cycles = 0
-    else:
-        master.held_cycles += 1
-        if master.held_cycles > master.timeout_cycles:
-            master.timed_out.append(txn)
-            master.current = None
-            master.current_slave = None
-            master.held_cycles = 0
-
-    master.cycle += 1
-    return signals, completed
-
-
-def slave_step(block: SlaveConfigBlock, bus: BusSignals, slave_index: int, offset: int | None) -> SlaveConfigBlock:
-    """Advance one slave's config block by one configuration-clock edge.
-
-    The write lands only when ``write & sel & ready_state`` holds with
-    the pre-edge ready value; data is truncated to the target register
-    width.  The new ready value is the registered inverse of
-    ``busy_input`` and takes effect from the next edge.
-    """
-    memory = block.local_memory
-    selected = slave_index < len(bus.sel) and bus.sel[slave_index]
-    if bus.write and selected and block.ready_state and offset is not None and offset in block.widths:
-        memory = dict(memory)
-        memory[offset] = bus.wdata & ((1 << block.widths[offset]) - 1)
-    return replace(block, local_memory=memory, ready_state=not block.busy_input)
-
-
-# ---------------------------------------------------------------------------
-# Every-edge reference of a whole simulation run
+from regforge.spec import TOPOLOGY_FLAGS, RegisterMapSpec, validate
 
 
 class EdgeReference:
@@ -196,7 +55,8 @@ class EdgeReference:
     end`` for one of its windows.  In fault mode the gate never closes,
     and a write landing on a busy distributed slave shows, to samples
     strictly inside the next configuration period, its new low half
-    over the old high half.
+    over the old high half.  An accepted swap resets the slave's words
+    and drops its tears.
     """
 
     def __init__(self, spec: RegisterMapSpec, *, fault_mode: bool = False,
@@ -204,7 +64,7 @@ class EdgeReference:
         self.spec = spec
         self.fault_mode = fault_mode
         self.timeout_cycles = timeout_cycles
-        self.distributed = spec.architecture.topology == "distributed"
+        self.distributed = TOPOLOGY_FLAGS[spec.architecture.topology].distributed
         domain = {d.name: i for i, d in enumerate(spec.clock_domains)}
         self.periods = [d.period_ps for d in spec.clock_domains]
         self.names = [s.name for s in spec.slaves]
@@ -245,6 +105,8 @@ class EdgeReference:
             self.spec = swapped
             self.mem[sidx] = {r.offset: r.reset_value for r in registers}
             self.rotation[sidx] = 0
+            for key in [key for key in self.tears if key[0] == sidx]:
+                del self.tears[key]
             base = swapped.slaves[sidx].base_addr
             self._emit(time_ps, SWAP_PERFORMED, slave)
             for r in sorted(registers, key=lambda r: r.offset):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from regforge.spec import TOPOLOGIES
+
 # The estimator is closed-form: it elaborates nothing, and takes the
 # capacity and sync-length rules from spec.  The simulator is built from
 # the validated spec alone: it imports no elaboration and not the bus
@@ -35,6 +37,23 @@ def test_local_imports(module):
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith("regforge") for alias in node.names)
     assert local == LOCAL_IMPORTS[module]
+
+
+def _topology_comparisons(path: Path) -> list[int]:
+    """The lines of ``path`` that compare a topology's name as a string."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(operand, ast.Constant) and operand.value in TOPOLOGIES
+                    for operand in (node.left, *node.comparators))]
+
+
+def test_no_topology_name_is_compared():
+    """Every layer, and the reference the simulator is checked against,
+    reads what a topology is from its ``TOPOLOGY_FLAGS`` row."""
+    package = Path(importlib.import_module("regforge").__file__).parent
+    paths = [*sorted(package.glob("*.py")), Path(__file__).with_name("bus_oracle.py")]
+    hits = [f"{path.name}:{line}" for path in paths for line in _topology_comparisons(path)]
+    assert hits == []
 
 
 def _fresh(code: str) -> str:

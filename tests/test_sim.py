@@ -368,6 +368,19 @@ def test_edges_stepped_add_up_over_runs(distributed_spec):
     assert sim.edges_stepped == [first[0] + 1, first[1]]
 
 
+def test_windows_before_the_run_start_unsettle_no_slave():
+    spec = make_spec(n_slaves=2, regs_per_slave=2)
+    script = ProgramScript(busy_windows=(BusyWindow("slave0", 2 * CFG, 5 * CFG),))
+    sim = build_sim(spec).run(script, 10 * CFG)
+    assert sim.edges_stepped == [7, 5]
+    # the window ended before this run starts, so the run steps what an
+    # empty script does: nothing, no fewer edges and no more
+    sim.run(script, 20 * CFG)
+    assert sim.edges_stepped == [7, 5]
+    idle = build_sim(spec).run(script, 10 * CFG).run(ProgramScript(), 20 * CFG)
+    assert idle.edges_stepped == sim.edges_stepped and idle.trace == sim.trace
+
+
 def test_determinism_same_script_same_trace_hash(distributed_spec, rng):
     script, until = random_script(distributed_spec, rng, 500, n_windows=3)
     a = build_sim(distributed_spec).run(script, until)
@@ -426,57 +439,6 @@ def test_never_ready_times_out():
     assert sim.timed_out
     assert any(e.detail == "timeout" for e in sim.violation_events())
     assert not any(e.kind == "write_accepted" for e in sim.trace)
-
-
-def test_simulator_agrees_with_pure_step_functions(rng):
-    # same stimulus through the cycle simulator and through a harness
-    # composed of the pure master/slave step functions
-    from bus_oracle import MasterState, SlaveConfigBlock, WriteTransaction
-    from bus_oracle import build_decode_table, master_step, slave_step
-
-    spec = make_spec(n_slaves=3, regs_per_slave=4, periods=(10_000, 7_000))
-    writes = []
-    cycle = 0
-    addrs = [e.address for e in address_map(spec)]
-    for _ in range(400):
-        cycle += rng.randrange(0, 3)
-        writes.append(ScriptWrite(cycle, rng.choice(addrs), rng.getrandbits(32)))
-
-    sim = build_sim(spec)
-    sim.run(ProgramScript(writes=tuple(writes)), (cycle + 50) * CFG)
-
-    table = build_decode_table(address_map(spec), spec)
-    master = MasterState(num_slaves=3, decode_table=table)
-    blocks = [
-        SlaveConfigBlock(
-            widths={r.offset: r.width for r in s.registers},
-            local_memory={r.offset: r.reset_value for r in s.registers},
-        )
-        for s in spec.slaves
-    ]
-    pending = []
-    queue = sorted(writes, key=lambda w: w.at_cycle)
-    qpos = 0
-    accepted = []
-    for step in range(cycle + 50):
-        while qpos < len(queue) and queue[qpos].at_cycle <= step:
-            pending.append(WriteTransaction(queue[qpos].addr, queue[qpos].data))
-            qpos += 1
-        ready = tuple(b.ready_state for b in blocks)
-        signals, done = master_step(master, pending, ready)
-        accepted += [(t.addr, t.accept_cycle) for t in done]
-        for i, block in enumerate(blocks):
-            match = table.get(signals.addr)
-            offset = match[1] if match and match[0] == i else None
-            blocks[i] = slave_step(block, signals, i, offset)
-
-    sim_accepts = [
-        (e.addr, e.time_ps // CFG - 1) for e in sim.trace if e.kind == "write_accepted"
-    ]
-    assert sim_accepts == accepted
-    for i, s in enumerate(spec.slaves):
-        for r in s.registers:
-            assert sim.backdoor_read(s.name, r.offset) == blocks[i].local_memory[r.offset]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from regforge import build_sim, parse_spec
 from regforge.sim import (
     DEFAULT_TIMEOUT_CYCLES,
+    VALUE_SAMPLED,
     BusyWindow,
     ProgramScript,
     ScriptWrite,
@@ -24,7 +25,7 @@ from regforge.sim import (
 from regforge.spec import TOPOLOGIES, SettingSpec, address_map, validate
 
 from bus_oracle import EdgeReference
-from conftest import make_spec_doc
+from conftest import make_spec, make_spec_doc
 
 CFG = 10  # configuration period (ps); the other periods are equal, multiples or coprime
 SLAVE_PERIODS = (10, 5, 20, 30, 7, 3, 13, 4)
@@ -111,3 +112,36 @@ def test_run_matches_every_edge_reference(data):
             fragment = data.draw(st.sampled_from(FRAGMENTS))
             sim.swap_module(slave, fragment)
             ref.swap_module(slave, fragment, ref.time_ps)
+
+
+def test_run_matches_every_edge_reference_on_a_long_script(rng):
+    # the one long deterministic script: 400 writes, some back to back
+    spec = make_spec(n_slaves=3, regs_per_slave=4, periods=(10_000, 7_000))
+    addrs = [e.address for e in address_map(spec)]
+    writes, cycle = [], 0
+    for _ in range(400):
+        cycle += rng.randrange(0, 3)
+        writes.append(ScriptWrite(cycle, rng.choice(addrs), rng.getrandbits(32)))
+    script, until = ProgramScript(writes=tuple(writes)), (cycle + 50) * 10_000
+    sim, ref = build_sim(spec).run(script, until), EdgeReference(spec).run(script, until)
+    assert_agrees(sim, ref)
+    assert sum(e.kind == "write_accepted" for e in ref.trace) == 400
+
+
+def test_swap_drops_the_slaves_tears():
+    # in fault mode the write at 30,000 ps lands on busy slave0 and tears its
+    # word until the next configuration edge; the swap at 31,000 ps resets
+    # that word, and the samples after it see the new reset value
+    spec = make_spec(n_slaves=1, regs_per_slave=1, periods=(10_000, 3_000))
+    script = ProgramScript(
+        writes=(ScriptWrite(2, 0, 0xFFFF_FFFF),),
+        busy_windows=(BusyWindow("slave0", 20_000, 60_000),),
+        swaps=(SwapRequest(31_000, "slave0", (SettingSpec("n0", 0, 32, 7),)),),
+    )
+    sim = build_sim(spec, fault_mode=True).run(script, 80_000)
+    ref = EdgeReference(spec, fault_mode=True).run(script, 80_000)
+    assert_agrees(sim, ref)
+    assert [(e.time_ps, e.data) for e in sim.trace
+            if e.kind == VALUE_SAMPLED and 31_000 < e.time_ps < 40_000] == [
+        (33_000, 7), (36_000, 7), (39_000, 7)]
+    assert sim.check_coherence() == []

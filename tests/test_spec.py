@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regforge import SpecError, address_map, load_spec, parse_spec, serialize, validate
-from regforge.spec import SettingSpec
+from regforge.spec import GLOBAL_TOPOLOGIES, TOPOLOGY_FLAGS, ElaborationOptions, SettingSpec
 
 from conftest import make_spec, make_spec_doc
 
@@ -185,6 +185,13 @@ def test_global_capacity_diagnostic():
     doc = make_spec_doc(topology="global", global_depth=4, global_width=32)
     report = validate(parse_spec(json.dumps(doc)))
     assert any(d.code == "global_capacity" for d in report.diagnostics)
+
+
+def test_topology_rows_are_pairwise_distinct():
+    # a row that equals another would make two names one design
+    assert len(set(TOPOLOGY_FLAGS.values())) == len(TOPOLOGY_FLAGS)
+    assert ElaborationOptions(True, False) == TOPOLOGY_FLAGS["global_registered"]
+    assert GLOBAL_TOPOLOGIES == ("global", "global_registered", "global_cdc_dest")
 
 
 def test_sync_length_required_for_cdc_topology():
